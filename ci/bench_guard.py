@@ -1,461 +1,96 @@
 #!/usr/bin/env python3
-"""Bench-regression guard for perf_report artifacts.
+"""Bench-regression guard for perf_report and tournament reports.
 
-Compares a freshly produced BENCH_attack.json against the committed
-baseline and fails (exit 1) when the sequential dense path's COUNT or
-end-to-end *throughput* (logical chunks per millisecond) regresses by more
-than the threshold. When both reports carry a `serve` section
-(perf_report --serve), the loopback service numbers are guarded at the
-same threshold: per-client-count ingest throughput and restore
-throughput. When both reports carry a `streaming` section (perf_report
---streaming), the incremental attack engine's amortized update throughput
-is guarded at the same threshold; worst-case and compaction-stall rows
-print informationally (a single commit's latency is dominated by whether
-it happens to land on a deep segment merge, which depends on epoch count,
-not on a code regression). When both reports carry a `faults` section
-(perf_report --faults), the retry-overhead and reconnect-latency rows
-print informationally (a seeded fault schedule's cost is timing-dependent
-by construction), but a fresh report flagging `divergence` — a committed
-stream restoring differently from what its client sent, or a retried
-batch double-ingesting — hard-fails: the exactly-once contract is
-correctness, not performance. When both reports carry a `chunking`
-section (perf_report --chunking), the gear-hash fastcdc throughput in
-MB/s is guarded at the same threshold — it is the engine the client
-pipeline rides — while the rabin-cdc and parallel rows print
-informationally; a fresh report whose `par_identical` flag is false
-hard-fails, since parallel chunking diverging from sequential is a
-correctness bug. When both reports carry a `lifecycle` section
-(perf_report --lifecycle), the GC compaction's reclaim throughput in
-MB/s is guarded at the same threshold — it normalizes across chunk
-counts — while the delete/rekey latency and churned-attack rows print
-informationally; a fresh report whose `recipes_intact` flag is false
-hard-fails, since a compaction or rekey that corrupts a surviving
-backup recipe is data loss.
+A report holds one JSON row per line, `{"name", "unit", "value", "kind"}`,
+written by `freqdedup_bench::output::Rows` (DESIGN.md §6). The fresh report
+is compared with the committed baseline row by row, by the row's kind:
 
-When both reports carry a `defense` section (the `tournament` binary),
-every scheme's encryption throughput is guarded at the same threshold —
-the defense layer is the client upload hot path. The per-scheme leakage
-rates and storage blowups are checked by *exact equality*: the
-tournament sweep is deterministic, so any drift in an inference rate is
-a correctness bug in an attack or defense, not noise, and hard-fails.
-Both defense comparisons use a size-matched reference (the committed
-baseline for full-size runs, the committed
-`ci/defense_leakage_baseline.json` for --quick runs) because neither
-inference rates nor TED/PFSE encryption throughput normalize across
-chunk counts.
+* higher — fails when the fresh value falls more than THRESHOLD below the
+  baseline;
+* lower  — fails when baseline / fresh falls below 1 - THRESHOLD;
+* exact  — fails unless the fresh value equals the baseline (deterministic
+  results such as leakage rates, and the run's scale, so reports of
+  different size never compare);
+* flag   — fails unless the fresh value is true;
+* info   — printed, never fails.
 
-Throughput, not wall-time, is compared so a --quick fresh run can be held
-against the committed full-size baseline: chunk counts normalize out,
-while a real slowdown of the hot path still shows. The default threshold
-is deliberately loose (30%) because CI runners and the recording machine
-are different hardware generations; the guard is meant to catch
+A higher, lower, exact or flag row missing from the fresh report fails.
+Rows only in the fresh report are new: a flag among them must still be
+true, the others are printed.
+
+THRESHOLD is deliberately loose because CI runners and the recording
+machine are different hardware generations; the guard is meant to catch
 order-of-magnitude regressions (an accidental O(n^2), a lost fast path),
 not single-digit drift.
 
 Usage:
-    python3 ci/bench_guard.py --baseline BENCH_attack.json \
-        --fresh fresh.json [--threshold 0.30]
+    python3 ci/bench_guard.py --baseline BENCH_attack.json --fresh fresh.json
 """
 
 import argparse
 import json
 import sys
 
-
-def throughput(report: dict, metric: str) -> float:
-    """Logical chunks per millisecond for a sequential-path metric."""
-    chunks = report["logical_chunks_per_backup"]
-    ms = report["sequential"][metric]
-    if ms <= 0:
-        raise SystemExit(f"bench_guard: non-positive {metric} in report")
-    return chunks / ms
+THRESHOLD = 0.30
 
 
-def serve_rows(baseline: dict, fresh: dict) -> list:
-    """(label, baseline_tput, fresh_tput, gated) rows for the serve section.
+def load(path):
+    """The rows of the report at `path`."""
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
 
-    Guarded only when *both* reports carry it, so a fresh report produced
-    without --serve (or an old baseline) degrades to the classic guard
-    instead of failing on a missing key. Only the single-client ingest and
-    the restore rows *gate*: multi-client throughput depends on the
-    machine's core count (the same reason the parallel attack section is
-    not guarded), so those rows print informationally.
+
+def check(kind, base, new):
+    """Why a row with baseline `base` and fresh `new` fails, or None.
+
+    `base` is None for a row only in the fresh report, `new` for a row
+    missing from it.
     """
-    base, new = baseline.get("serve"), fresh.get("serve")
-    if not base or not new:
-        print("bench_guard: no serve section in both reports, skipping serve guard")
-        return []
-    rows = []
-    fresh_by_n = {row["n"]: row for row in new.get("clients", [])}
-    for row in base.get("clients", []):
-        other = fresh_by_n.get(row["n"])
-        if other is None:
-            continue
-        rows.append(
-            (
-                f"serve x{row['n']}",
-                row["chunks_per_ms"],
-                other["chunks_per_ms"],
-                row["n"] == 1,
-            )
-        )
-    if base.get("restore_ms", 0) > 0 and new.get("restore_ms", 0) > 0:
-        rows.append(
-            (
-                "serve restore",
-                base["restore_chunks"] / base["restore_ms"],
-                new["restore_chunks"] / new["restore_ms"],
-                True,
-            )
-        )
-    return rows
+    if new is None:
+        return None if kind == "info" else "missing from the fresh report"
+    if kind == "flag":
+        return None if new is True else "flag is not true"
+    if base is None or kind == "info":
+        return None
+    if kind == "exact":
+        return None if new == base else "differs from the baseline"
+    if kind == "higher" and new < base * (1 - THRESHOLD):
+        return f"fell more than {THRESHOLD:.0%} below the baseline"
+    if kind == "lower" and new * (1 - THRESHOLD) > base:
+        return f"rose past baseline / {1 - THRESHOLD:.2f}"
+    return None
 
 
-def streaming_rows(baseline: dict, fresh: dict) -> list:
-    """(label, baseline_tput, fresh_tput, gated) rows for the streaming
-    section.
-
-    Guarded only when *both* reports carry it, like the serve section. The
-    amortized update throughput (chunks folded per millisecond across the
-    whole tape) *gates*: it is what O(delta) buys and a lost incremental
-    path shows up here as an order-of-magnitude drop. The worst-case
-    single-commit and worst-compaction rows are info-only — which commit
-    absorbs the deepest segment merge is a function of the epoch count and
-    merge schedule, so their latency is lumpy by design.
-    """
-    base, new = baseline.get("streaming"), fresh.get("streaming")
-    if not base or not new:
-        print(
-            "bench_guard: no streaming section in both reports, skipping streaming guard"
-        )
-        return []
-    if not new.get("identical_inference", False):
-        raise SystemExit(
-            "bench_guard: FAIL — fresh streaming inference diverged from batch"
-        )
-    rows = [
-        ("stream update", base["update_chunks_per_ms"], new["update_chunks_per_ms"], True)
-    ]
-    for label, key, invert in (
-        ("stream 2nd half", "second_half_chunks_per_ms", False),
-        ("stream worst", "update_worst_ms", True),
-        ("stream compact", "worst_compaction_ms", True),
-    ):
-        if base.get(key, 0) > 0 and new.get(key, 0) > 0:
-            if invert:
-                # Latency rows: invert into a pseudo-throughput so "lower
-                # ratio = worse" holds uniformly in the table below.
-                rows.append((label, 1.0 / base[key], 1.0 / new[key], False))
-            else:
-                rows.append((label, base[key], new[key], False))
-    return rows
+def compare(baseline, fresh):
+    """Prints the row-by-row comparison; returns the failure messages."""
+    base_by_name = {row["name"]: row for row in baseline}
+    fresh_by_name = {row["name"]: row for row in fresh}
+    names = list(base_by_name) + [n for n in fresh_by_name if n not in base_by_name]
+    failures = []
+    print(f"{'row':<44} {'kind':<6} {'baseline':>12} {'fresh':>12}")
+    for name in names:
+        base_row, new_row = base_by_name.get(name), fresh_by_name.get(name)
+        kind = (base_row or new_row)["kind"]
+        base = base_row["value"] if base_row else None
+        new = new_row["value"] if new_row else None
+        reason = check(kind, base, new)
+        note = f"  <-- FAIL: {reason}" if reason else ""
+        print(f"{name:<44} {kind:<6} {str(base):>12} {str(new):>12}{note}")
+        if reason:
+            failures.append(f"{name}: {reason}")
+    return failures
 
 
-def faults_rows(baseline: dict, fresh: dict) -> list:
-    """(label, baseline_tput, fresh_tput, gated) rows for the faults
-    section.
-
-    The fresh report's `divergence` flag hard-fails first: a committed
-    stream that restores differently from what its client sent, or a
-    retried batch that double-ingested, is a broken exactly-once protocol
-    regardless of speed. Every timing row is info-only — the retry
-    overhead factor and reconnect latency measure a *seeded fault
-    schedule*, whose cost moves with socket timing and scheduler
-    interleaving, not with hot-path code quality.
-    """
-    new = fresh.get("faults")
-    if new and new.get("divergence", False):
-        raise SystemExit(
-            "bench_guard: FAIL — fresh faults section flags exactly-once divergence"
-        )
-    base = baseline.get("faults")
-    if not base or not new:
-        print("bench_guard: no faults section in both reports, skipping faults rows")
-        return []
-    rows = []
-    # Overhead factor and reconnect latency: invert into pseudo-throughput
-    # so "lower ratio = worse" holds uniformly in the table below.
-    for label, key in (
-        ("faults overhead", "overhead"),
-        ("faults reconnect", "reconnect_mean_us"),
-    ):
-        if base.get(key, 0) > 0 and new.get(key, 0) > 0:
-            rows.append((label, 1.0 / base[key], 1.0 / new[key], False))
-    if base.get("faulted_ms", 0) > 0 and new.get("faulted_ms", 0) > 0:
-        rows.append(
-            (
-                "faults ingest",
-                1.0 / base["faulted_ms"],
-                1.0 / new["faulted_ms"],
-                False,
-            )
-        )
-    return rows
-
-
-def chunking_rows(baseline: dict, fresh: dict) -> list:
-    """(label, baseline_tput, fresh_tput, gated) rows for the chunking
-    section.
-
-    The fresh report's `par_identical` flag hard-fails first: parallel
-    chunking that produces different spans than sequential corrupts every
-    downstream dedup ratio, so it is correctness, not performance. Of the
-    throughput rows only sequential fastcdc *gates* — it is the hot loop
-    the gear-hash rewrite exists for and a lost fast path shows up there
-    directly. Rabin is the legacy engine (info-only) and the parallel
-    rows depend on the runner's core count, like every other parallel
-    section.
-    """
-    new = fresh.get("chunking")
-    if new and not new.get("par_identical", True):
-        raise SystemExit(
-            "bench_guard: FAIL — fresh chunking section flags parallel/sequential divergence"
-        )
-    base = baseline.get("chunking")
-    if not base or not new:
-        print("bench_guard: no chunking section in both reports, skipping chunking rows")
-        return []
-    rows = []
-    for label, key, gated in (
-        ("fastcdc seq", "fastcdc_seq_mbps", True),
-        ("fastcdc par", "fastcdc_par_mbps", False),
-        ("rabin seq", "rabin_seq_mbps", False),
-        ("rabin par", "rabin_par_mbps", False),
-    ):
-        if base.get(key, 0) > 0 and new.get(key, 0) > 0:
-            rows.append((label, base[key], new[key], gated))
-    return rows
-
-
-def lifecycle_rows(baseline: dict, fresh: dict) -> list:
-    """(label, baseline_tput, fresh_tput, gated) rows for the lifecycle
-    section.
-
-    The fresh report's `recipes_intact` flag hard-fails first: a GC
-    compaction or rekey that corrupts a surviving backup recipe is data
-    loss, not a performance number. Of the throughput rows only the GC
-    reclaim rate in MB/s *gates* — it normalizes across chunk counts
-    (bytes reclaimed per wall-second of compaction) and a lost fast path
-    in the container rewrite loop shows up there directly. The delete and
-    rekey latency rows and the churned-attack row are info-only: their
-    wall-time scales with the generation count and container population
-    of the specific run.
-    """
-    new = fresh.get("lifecycle")
-    if new and not new.get("recipes_intact", True):
-        raise SystemExit(
-            "bench_guard: FAIL — fresh lifecycle section flags corrupted recipes"
-        )
-    base = baseline.get("lifecycle")
-    if not base or not new:
-        print("bench_guard: no lifecycle section in both reports, skipping lifecycle rows")
-        return []
-    rows = []
-    if base.get("reclaim_mb_per_s", 0) > 0 and new.get("reclaim_mb_per_s", 0) > 0:
-        rows.append(
-            ("gc reclaim", base["reclaim_mb_per_s"], new["reclaim_mb_per_s"], True)
-        )
-    # Latency rows: invert into pseudo-throughput so "lower ratio = worse"
-    # holds uniformly in the table below.
-    for label, key in (
-        ("lc delete", "delete_ms"),
-        ("lc rekey", "rekey_ms"),
-        ("lc churned atk", "attack_churned_ms"),
-    ):
-        if base.get(key, 0) > 0 and new.get(key, 0) > 0:
-            rows.append((label, 1.0 / base[key], 1.0 / new[key], False))
-    return rows
-
-
-RATE_KEYS = (
-    "basic_stream",
-    "basic_key",
-    "locality_stream",
-    "locality_key",
-    "advanced_stream",
-    "advanced_key",
-)
-
-
-def defense_row_id(row: dict):
-    return (row["scheme"], row.get("budget"))
-
-
-def defense_reference(baseline: dict, fresh: dict, leakage_baseline: str):
-    """Selects the size-matched defense reference for the fresh report.
-
-    Per-scheme inference rates do not normalize across chunk counts, and
-    neither does TED/PFSE encryption throughput (their per-chunk cost
-    depends on the pair's frequency histogram), so every defense
-    comparison needs a reference recorded at the *same* chunk count: the
-    committed baseline when the fresh run is full-size, else the
-    committed quick-size leakage baseline (`--leakage-baseline`,
-    recorded by `tournament --quick`). Returns `(section, label)` or
-    `(None, None)` when no size-matched reference exists.
-    """
-    new = fresh.get("defense")
-    if not new:
-        return None, None
-    base = baseline.get("defense")
-    if base and base.get("chunks") == new.get("chunks"):
-        return base, "committed baseline"
-    if leakage_baseline:
-        try:
-            with open(leakage_baseline) as f:
-                cand = json.load(f).get("defense")
-        except OSError:
-            cand = None
-        if cand and cand.get("chunks") == new.get("chunks"):
-            return cand, leakage_baseline
-    return None, None
-
-
-def defense_leakage_check(fresh: dict, ref: dict, src: str) -> None:
-    """Hard-fails on any leakage-metric drift in the defense section.
-
-    The tournament sweep is deterministic end to end — fixed FSL pair,
-    fixed key context, fixed epoching — so the per-scheme inference rates
-    and storage blowups are exact constants at a given chunk count. Any
-    change is a correctness bug in an attack or a defense, never noise,
-    so unlike every throughput row this comparison is exact equality
-    against the size-matched reference from `defense_reference`.
-    """
-    new = fresh.get("defense")
-    if not new:
-        print("bench_guard: no defense section in fresh report, skipping leakage check")
-        return
-    if ref is None:
-        print(
-            "bench_guard: no size-matched defense leakage reference, "
-            "skipping leakage check"
-        )
-        return
-    ref_rows = {defense_row_id(r): r for r in ref["rows"]}
-    new_ids = {defense_row_id(r) for r in new["rows"]}
-    missing = sorted(str(i) for i in set(ref_rows) - new_ids)
-    if missing:
-        raise SystemExit(
-            f"bench_guard: FAIL — defense rows missing from fresh report: {missing}"
-        )
-    for row in new["rows"]:
-        other = ref_rows.get(defense_row_id(row))
-        if other is None:
-            raise SystemExit(
-                f"bench_guard: FAIL — defense row {defense_row_id(row)} "
-                f"absent from {src}; re-record the leakage baseline"
-            )
-        for key in RATE_KEYS + ("blowup",):
-            if row.get(key) != other.get(key):
-                raise SystemExit(
-                    f"bench_guard: FAIL — defense leakage drift in "
-                    f"{row['scheme']}: {key} {other.get(key)} -> {row.get(key)} "
-                    "(the sweep is deterministic; drift is a correctness bug)"
-                )
-    print(
-        f"bench_guard: defense leakage rates identical to {src} "
-        f"({len(new['rows'])} rows)"
-    )
-
-
-def defense_rows(fresh: dict, ref: dict) -> list:
-    """(label, baseline_tput, fresh_tput, gated) rows for the defense
-    section.
-
-    Every scheme's encryption throughput (logical chunks per millisecond)
-    *gates* at the common threshold — the defense layer sits on the
-    client's upload hot path, so a lost fast path in any scheme is a
-    real regression. Unlike the other sections this throughput does NOT
-    normalize across chunk counts (TED's threshold search and PFSE's
-    partitioning cost scale with the frequency histogram, not per chunk),
-    so the rows compare against the same size-matched reference the
-    leakage check uses — a --quick fresh run is held against the
-    committed quick-size leakage baseline, never the full-size one.
-    """
-    base, new = ref, fresh.get("defense")
-    if not base or not new:
-        print(
-            "bench_guard: no size-matched defense reference, skipping defense rows"
-        )
-        return []
-    fresh_by_id = {defense_row_id(r): r for r in new["rows"]}
-    rows = []
-    for r in base["rows"]:
-        other = fresh_by_id.get(defense_row_id(r))
-        if (
-            other
-            and r.get("enc_chunks_per_ms", 0) > 0
-            and other.get("enc_chunks_per_ms", 0) > 0
-        ):
-            rows.append(
-                (
-                    f"enc {r['scheme']}",
-                    r["enc_chunks_per_ms"],
-                    other["enc_chunks_per_ms"],
-                    True,
-                )
-            )
-    return rows
-
-
-def main() -> int:
+def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True, help="committed BENCH_attack.json")
     ap.add_argument("--fresh", required=True, help="freshly produced report")
-    ap.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="maximum tolerated fractional throughput regression (default 0.30)",
-    )
-    ap.add_argument(
-        "--leakage-baseline",
-        default="ci/defense_leakage_baseline.json",
-        help="size-matched defense leakage reference for --quick fresh runs "
-        "(default ci/defense_leakage_baseline.json)",
-    )
     args = ap.parse_args()
 
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    with open(args.fresh) as f:
-        fresh = json.load(f)
-
-    if not fresh.get("identical_inference", False):
-        print("bench_guard: FAIL — fresh report flags divergent inference")
-        return 1
-
-    defense_ref, defense_src = defense_reference(baseline, fresh, args.leakage_baseline)
-    defense_leakage_check(fresh, defense_ref, defense_src)
-
-    failed = False
-    print(f"bench_guard: threshold {args.threshold:.0%} throughput regression")
-    print(f"{'metric':<16} {'baseline':>12} {'fresh':>12} {'ratio':>8}")
-
-    rows = []
-    for label, metric in (("COUNT", "count_ms"), ("end-to-end", "end_to_end_ms")):
-        rows.append((label, throughput(baseline, metric), throughput(fresh, metric), True))
-    rows.extend(serve_rows(baseline, fresh))
-    rows.extend(streaming_rows(baseline, fresh))
-    rows.extend(faults_rows(baseline, fresh))
-    rows.extend(chunking_rows(baseline, fresh))
-    rows.extend(lifecycle_rows(baseline, fresh))
-    rows.extend(defense_rows(fresh, defense_ref))
-
-    for label, base_tp, fresh_tp, gated in rows:
-        ratio = fresh_tp / base_tp
-        verdict = ""
-        if ratio < 1.0 - args.threshold:
-            if gated:
-                verdict = "  <-- REGRESSION"
-                failed = True
-            else:
-                verdict = "  (info only: machine/schedule dependent)"
-        print(
-            f"{label:<16} {base_tp:>9.1f}/ms {fresh_tp:>9.1f}/ms {ratio:>7.2f}x{verdict}"
-        )
-
-    if failed:
-        print("bench_guard: FAIL — throughput regressed beyond the threshold")
+    failures = compare(load(args.baseline), load(args.fresh))
+    if failures:
+        for failure in failures:
+            print(f"bench_guard: FAIL — {failure}")
         return 1
     print("bench_guard: OK")
     return 0

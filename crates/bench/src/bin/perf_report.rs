@@ -13,250 +13,148 @@
 //!   batch-parallel encryption, prefix-sharded store ingest) at
 //!   `--threads` workers,
 //!
-//! checks that all inference sets are identical, and writes the timings
-//! plus the speedups to `BENCH_attack.json` so every PR's CI run leaves a
-//! comparable perf artifact with thread metadata.
+//! checks that all inference sets are identical, and writes one row per
+//! measurement to `BENCH_attack.json` (format and gates: DESIGN.md §6).
+//! Every run also measures, under the row prefix named:
 //!
-//! With `--persist <dir>` the store layer is additionally exercised against
-//! the durable backend: disk-backed ingest + close (fsync-always), then a
-//! timed **cold-open recovery**, with the recovered counters checked
-//! against the in-memory run. The timings land in a `persist` section of
-//! the JSON.
+//! * `serve.` — the network service on loopback: ingest throughput at 1,
+//!   4 and 8 concurrent clients and single-client restore of a committed
+//!   manifest;
+//! * `streaming.` — the incremental attack engine: the cipher stream
+//!   folded as 64 committed epochs, per-commit update latency (amortized,
+//!   worst-case, worst compaction stall), first-half vs second-half
+//!   throughput (per-chunk cost must not grow with history), and the final
+//!   streaming inference checked against the batch series recompute;
+//! * `faults.` — four `ResilientClient`s uploading through a `FaultProxy`
+//!   (resets, torn frames, delays) vs a fault-free resilient baseline:
+//!   retry counts, reconnect latency, overhead, and an exactly-once audit
+//!   of what the server committed;
+//! * `chunking.` — rabin-cdc vs gear-hash fastcdc MB/s on raw bytes,
+//!   sequential and parallel, the fastcdc size distribution, and a
+//!   parallel-equals-sequential identity check;
+//! * `lifecycle.` — 8 backup generations in a durable store, every other
+//!   one deleted, GC compaction (reclaim MB/s), a REED-style rekey, and
+//!   the locality attack on the churned stream vs the append-only one;
+//!   surviving recipes are checked intact.
 //!
-//! With `--serve` the network service is also measured on loopback:
-//! multi-client ingest throughput at 1, 4 and 8 concurrent clients
-//! (each uploading its contiguous slice of the cipher stream through
-//! `freqdedup_server::client::Client`) plus single-client restore
-//! latency of a committed manifest. The timings land in a `serve`
-//! section of the JSON and are guarded by `ci/bench_guard.py`.
+//! With `--persist DIR` the `persist.` rows time the durable backend:
+//! disk-backed ingest + close (fsync-always), then a cold-open recovery
+//! whose counters are checked against the in-memory run.
 //!
-//! With `--streaming` the incremental attack engine is measured: the
-//! cipher stream is split into 64 committed epochs folded one at a time
-//! into a running `IncrementalStats` (the O(delta) streaming path), with
-//! per-commit update latency recorded — amortized, worst-case, and
-//! worst compaction stall — plus first-half vs second-half throughput
-//! (the sublinearity evidence: per-chunk update cost must not grow with
-//! history) and a final-state inference equivalence check against the
-//! batch series recompute. The timings land in a `streaming` section of
-//! the JSON; amortized update throughput is guarded by
-//! `ci/bench_guard.py`.
+//! Exits 1 when any `flag` row is false.
 //!
-//! With `--faults` the resilient client stack is measured under a seeded
-//! network fault schedule: four `ResilientClient`s upload the cipher
-//! stream through a `FaultProxy` injecting resets, torn frames and
-//! delays, against a fault-free resilient baseline. The section records
-//! retry counts, reconnect latency, the retry overhead factor, and a
-//! `divergence` sentinel (a committed tap stream differing from what its
-//! client sent, or a double-ingest) that fails the run — the exactly-once
-//! protocol must keep the adversary's view bit-exact under faults.
+//! Usage: `perf_report [--quick] [--threads T] [--persist DIR] [--out PATH]`
 //!
-//! With `--chunking` the chunking engines are measured on raw bytes:
-//! rabin-cdc vs gear-hash fastcdc throughput in MB/s, sequential and
-//! parallel (`chunk_stream_par`), plus fastcdc chunk-size distribution
-//! stats and a parallel-vs-sequential identity check. The timings land
-//! in a `chunking` section of the JSON; fastcdc sequential throughput is
-//! guarded by `ci/bench_guard.py`.
-//!
-//! With `--lifecycle` the storage lifecycle is measured under churn: the
-//! cipher stream is committed as 8 backup generations into a durable
-//! store, every other generation is deleted, a full GC compaction
-//! rewrites the survivors and reclaims the dead bytes, and a REED-style
-//! rekey rewrites every live container under a fresh epoch. Records
-//! delete/GC/rekey latency, reclaim throughput in MB/s (guarded by
-//! `ci/bench_guard.py`), and the adversary-side effect of churn: the
-//! locality attack run on the churned tap (survivors only) vs the
-//! append-only stream, with the inferred-pair retention ratio. Surviving
-//! recipes are checked intact after the churn; a mismatch fails the run.
-//!
-//! Usage: `perf_report [--quick] [--chunks N] [--threads T] [--persist DIR]
-//! [--serve] [--streaming] [--faults] [--chunking] [--lifecycle] [--out PATH]`
-//!
-//! * `--quick` — CI-sized run (~60k logical chunks per backup);
-//! * `--chunks N` — logical chunks per backup (default 1,000,000);
+//! * `--quick` — CI-sized run (~60k logical chunks per backup, default
+//!   ~1M);
 //! * `--threads T` — parallel-path worker threads (default 0 = auto);
 //! * `--persist DIR` — also time the durable store backend rooted at DIR
 //!   (the directory is cleared first);
-//! * `--serve` — also time the loopback network service (multi-client
-//!   ingest throughput + restore latency);
-//! * `--streaming` — also time the incremental attack engine (per-commit
-//!   update latency over 64 epochs + equivalence check);
-//! * `--faults` — also time the resilient client stack under a seeded
-//!   fault schedule (retry overhead, reconnect latency, divergence check);
-//! * `--chunking` — also time the chunking engines (rabin-cdc vs fastcdc
-//!   MB/s, sequential and parallel, + distribution stats);
-//! * `--lifecycle` — also time the storage lifecycle under churn (backup
-//!   deletion, GC compaction reclaim throughput, rekey latency, churned
-//!   vs append-only attack);
 //! * `--out PATH` — output path (default `BENCH_attack.json`).
 
-use std::time::Instant;
-
-use freqdedup_bench::harness;
+use freqdedup_bench::cli;
+use freqdedup_bench::harness::{self, build_pair, sorted_pairs, store_config, timed};
+use freqdedup_bench::output::{Kind, Rows};
 use freqdedup_core::attacks::locality::{LocalityAttack, LocalityParams};
 use freqdedup_core::counting::ChunkStats;
 use freqdedup_core::dense::DenseStats;
-use freqdedup_core::metrics::Inference;
 use freqdedup_core::par::ParConfig;
-use freqdedup_datasets::fsl::{self, FslConfig};
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
 use freqdedup_store::engine::{DedupConfig, DedupEngine};
 use freqdedup_store::persist::PersistConfig;
 use freqdedup_store::sharded::ShardedDedupEngine;
-use freqdedup_trace::{Backup, Fingerprint};
+use freqdedup_trace::Backup;
 
-const USAGE: &str =
-    "usage: perf_report [--quick] [--chunks N] [--threads T] [--persist DIR] [--serve] [--streaming] [--faults] [--chunking] [--lifecycle] [--out PATH]
+use Kind::{Exact, Higher, Info};
+
+const USAGE: &str = "usage: perf_report [--quick] [--threads T] [--persist DIR] [--out PATH]
 Times MLE encryption, store ingest and the locality attack (COUNT + crawl)
 on a synthetic backup pair over the reference hash-map path, the sequential
 dense-id/CSR path and the sharded parallel path, verifies identical
-inference output, and writes BENCH_attack.json. With --persist DIR the
-durable store backend is also timed (disk ingest, close, cold-open
-recovery); with --serve the loopback network service is also timed
-(multi-client ingest throughput at 1/4/8 clients, restore latency); with
---streaming the incremental attack engine is also timed (per-commit
-update latency over 64 committed epochs, amortized and worst-case, plus
-a streaming-vs-batch inference equivalence check); with --faults the
-resilient client stack is also timed under a seeded network fault
-schedule (retry overhead, reconnect latency, tap divergence check); with
---chunking the chunking engines are also timed on raw bytes (rabin-cdc
-vs gear-hash fastcdc MB/s, sequential and parallel, chunk-size
-distribution, parallel-identity check); with --lifecycle the storage
-lifecycle is also timed under churn (delete half the backup
-generations, GC-compact, rekey, then re-run the attack on the churned
-tap vs append-only).";
+inference output, and writes one row per measurement to BENCH_attack.json.
+Every run also times the loopback network service, the incremental attack
+engine, the resilient client stack under a seeded fault schedule, the
+chunking engines and the storage lifecycle under churn; with --persist DIR
+the durable store backend is also timed (disk ingest, close, cold-open
+recovery). Exits 1 when any correctness flag row is false.";
 
-const DEFAULT_CHUNKS: usize = 1_000_000;
-const QUICK_CHUNKS: usize = 60_000;
-
-struct Args {
-    chunks: usize,
-    quick: bool,
-    threads: usize,
-    persist: Option<String>,
-    serve: bool,
-    streaming: bool,
-    faults: bool,
-    chunking: bool,
-    lifecycle: bool,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        chunks: DEFAULT_CHUNKS,
-        quick: false,
-        threads: 0,
-        persist: None,
-        serve: false,
-        streaming: false,
-        faults: false,
-        chunking: false,
-        lifecycle: false,
-        out: "BENCH_attack.json".to_string(),
+/// Times the durable store backend rooted at `dir`: disk-backed ingest +
+/// close with the crash-safe fsync-always policy, then a cold-open
+/// recovery checked bit-for-bit against the pre-restart counters.
+/// `totals` are the in-memory run's `(logical, unique)` chunk counts.
+fn bench_persist(dir: &str, cipher: &Backup, unique: usize, totals: (u64, u64)) -> Rows {
+    eprintln!("perf_report: timing durable store backend under {dir}...");
+    let dir = std::path::PathBuf::from(dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let pconfig = DedupConfig {
+        persist: Some(PersistConfig::new(&dir)),
+        ..store_config(unique)
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => {
-                args.quick = true;
-                args.chunks = QUICK_CHUNKS;
-            }
-            "--chunks" => {
-                let v = it.next().unwrap_or_else(|| die("--chunks needs a value"));
-                args.chunks = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--chunks must be an integer"));
-                if args.chunks == 0 {
-                    die("--chunks must be positive");
-                }
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| die("--threads needs a value"));
-                args.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--threads must be an integer (0 = auto)"));
-            }
-            "--persist" => {
-                args.persist = Some(it.next().unwrap_or_else(|| die("--persist needs a value")));
-            }
-            "--serve" => args.serve = true,
-            "--streaming" => args.streaming = true,
-            "--faults" => args.faults = true,
-            "--chunking" => args.chunking = true,
-            "--lifecycle" => args.lifecycle = true,
-            "--out" => {
-                args.out = it.next().unwrap_or_else(|| die("--out needs a value"));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
-    }
-    args
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("perf_report: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Milliseconds spent in `f`, plus its result.
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64() * 1e3, out)
-}
-
-fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
-    let mut v: Vec<_> = inf.iter().collect();
-    v.sort_unstable();
-    v
-}
-
-/// Builds the benchmark pair: two consecutive FSL-like monthly backups of
-/// ~`chunks` logical chunks each. The newer one is the encryption target
-/// (the adversary's tap), the older one is the plaintext aux.
-fn build_pair(chunks: usize) -> (Backup, Backup) {
-    let cfg = FslConfig {
-        backups: 2,
-        ..FslConfig::scaled((chunks / 6).max(100))
-    };
-    let series = fsl::generate(&cfg);
-    let aux = series.get(0).expect("two backups generated").clone();
-    let target = series.get(1).expect("two backups generated").clone();
-    (aux, target)
-}
-
-/// Store configuration sized for the benchmark stream.
-fn store_config(unique: usize) -> DedupConfig {
-    DedupConfig {
-        cache_entries: unique / 4,
-        bloom_expected: (unique as u64).max(1024),
-        ..DedupConfig::default()
-    }
+    let (ingest_ms, engine) = timed(|| {
+        let mut engine = DedupEngine::open(pconfig.clone()).expect("fresh persistent dir");
+        engine.ingest_backup(cipher);
+        engine.finish();
+        engine
+    });
+    let disk_stats = engine.stats();
+    assert_eq!(
+        totals,
+        (disk_stats.logical_chunks, disk_stats.unique_chunks),
+        "disk-backed ingest diverged from in-memory totals"
+    );
+    let (close_ms, ()) = timed(|| engine.close().expect("close persistent engine"));
+    let (cold_open_ms, recovered) =
+        timed(|| DedupEngine::open(pconfig.clone()).expect("cold-open recovery"));
+    assert_eq!(
+        recovered.stats(),
+        disk_stats,
+        "cold-open recovery diverged from the closed engine"
+    );
+    let disk_bytes: u64 = std::fs::read_dir(&dir)
+        .map(|rd| {
+            rd.filter_map(Result::ok)
+                .filter_map(|e| e.metadata().ok())
+                .map(|m| m.len())
+                .sum()
+        })
+        .unwrap_or(0);
+    let mut rows = Rows::default();
+    rows.push(Info, "ingest_ms", "ms", (ingest_ms, 1));
+    rows.push(Info, "close_ms", "ms", (close_ms, 1));
+    rows.push(Info, "cold_open_ms", "ms", (cold_open_ms, 1));
+    let containers = recovered.containers().sealed_count();
+    rows.push(Info, "containers", "count", containers);
+    rows.push(Info, "disk_bytes", "bytes", disk_bytes);
+    rows
 }
 
 /// Times the loopback network service: N concurrent clients each upload
 /// a contiguous slice of the cipher stream (metadata mode, pipelined
 /// batches) and commit, then a single client restores one committed
-/// manifest. Returns the `serve` JSON section.
-fn bench_serve(cipher: &Backup, unique: usize) -> String {
+/// manifest. Only the single-client rates are gated: multi-client
+/// throughput depends on the machine's core count.
+fn bench_serve(cipher: &Backup, unique: usize) -> Rows {
     use freqdedup_server::client::Client;
     use freqdedup_server::server::{Server, ServerConfig};
 
-    let mut client_rows = Vec::new();
-    for clients in [1usize, 4, 8] {
-        eprintln!("perf_report: serve ingest, {clients} loopback client(s)...");
+    let start = |workers: usize| {
         let server = Server::bind(ServerConfig {
-            workers: clients,
+            workers,
             engine: store_config(unique),
             ..ServerConfig::default()
         })
         .expect("bind loopback bench server");
         let addr = server.local_addr().expect("local addr");
-        let handle = std::thread::spawn(move || server.run().expect("serve"));
+        (
+            addr,
+            std::thread::spawn(move || server.run().expect("serve")),
+        )
+    };
+
+    let mut rows = Rows::default();
+    for clients in [1usize, 4, 8] {
+        eprintln!("perf_report: serve ingest, {clients} loopback client(s)...");
+        let (addr, handle) = start(clients);
         let slices = freqdedup_core::par::shard_ranges(cipher.chunks.len(), clients);
         let (ingest_ms, ()) = timed(|| {
             std::thread::scope(|scope| {
@@ -281,43 +179,31 @@ fn bench_serve(cipher: &Backup, unique: usize) -> String {
         );
         closer.shutdown().expect("shutdown");
         handle.join().expect("server thread");
+        let kind = if clients == 1 { Higher } else { Info };
+        rows.push(Info, format!("x{clients}.ingest_ms"), "ms", (ingest_ms, 1));
         let tput = cipher.len() as f64 / ingest_ms;
-        eprintln!("perf_report: serve ingest x{clients}: {ingest_ms:.1} ms ({tput:.1} chunks/ms)");
-        client_rows.push(format!(
-            "{{ \"n\": {clients}, \"ingest_ms\": {ingest_ms:.1}, \"chunks_per_ms\": {tput:.1} }}"
-        ));
+        rows.push(
+            kind,
+            format!("x{clients}.chunks_per_ms"),
+            "chunks/ms",
+            (tput, 1),
+        );
     }
 
     // Restore latency: one committed manifest streamed back whole.
-    let server = Server::bind(ServerConfig {
-        workers: 1,
-        engine: store_config(unique),
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback bench server");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
-    let restore_chunks = {
-        let mut client = Client::connect(addr, "bench-restore").expect("connect");
-        let whole = Backup::from_chunks("whole", cipher.chunks.clone());
-        client.upload_backup(&whole).expect("upload");
-        client.commit("whole").expect("commit");
-        let (restore_ms, restored) = timed(|| client.restore("whole").expect("restore"));
-        assert_eq!(restored.backup.chunks, whole.chunks, "restore diverged");
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
-        eprintln!(
-            "perf_report: serve restore: {restore_ms:.1} ms for {} chunks",
-            whole.len()
-        );
-        format!(
-            "  \"serve\": {{ \"clients\": [{}], \"restore_ms\": {restore_ms:.1}, \
-             \"restore_chunks\": {} }},\n",
-            client_rows.join(", "),
-            whole.len()
-        )
-    };
-    restore_chunks
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(addr, "bench-restore").expect("connect");
+    let whole = Backup::from_chunks("whole", cipher.chunks.clone());
+    client.upload_backup(&whole).expect("upload");
+    client.commit("whole").expect("commit");
+    let (restore_ms, restored) = timed(|| client.restore("whole").expect("restore"));
+    assert_eq!(restored.backup.chunks, whole.chunks, "restore diverged");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    rows.push(Info, "restore_ms", "ms", (restore_ms, 1));
+    let tput = whole.len() as f64 / restore_ms;
+    rows.push(Higher, "restore_chunks_per_ms", "chunks/ms", (tput, 1));
+    rows
 }
 
 /// Times the incremental attack engine: the cipher stream is split into 64
@@ -327,9 +213,10 @@ fn bench_serve(cipher: &Backup, unique: usize) -> String {
 /// commit that triggered a CSR segment merge (compaction stall) — and
 /// first-half vs second-half throughput as sublinearity evidence, then
 /// checks the final streaming inference bit-identical against a batch
-/// series recompute of the same tape. Returns the `streaming` JSON section
-/// and whether the equivalence check passed.
-fn bench_streaming(cipher: &Backup, aux: &Backup, threads: usize) -> (String, bool) {
+/// series recompute of the same tape. Only the amortized throughput is
+/// gated: which commit absorbs the deepest merge depends on the epoch
+/// count, not on the code.
+fn bench_streaming(cipher: &Backup, aux: &Backup, threads: usize) -> Rows {
     use freqdedup_core::attacks::{self, AttackKind};
     use freqdedup_core::IncrementalStats;
 
@@ -358,8 +245,6 @@ fn bench_streaming(cipher: &Backup, aux: &Backup, threads: usize) -> (String, bo
         }
     }
     let total_ms: f64 = per_commit_ms.iter().sum();
-    let amortized_ms = total_ms / tape.len() as f64;
-    let tput = cipher.len() as f64 / total_ms.max(1e-9);
     // Sublinearity evidence: per-chunk update cost in the second half of
     // the tape (deep history) vs the first half (shallow history).
     let half = tape.len() / 2;
@@ -370,35 +255,44 @@ fn bench_streaming(cipher: &Backup, aux: &Backup, threads: usize) -> (String, bo
     let first_half_tput = half_tput(&tape[..half], &per_commit_ms[..half]);
     let second_half_tput = half_tput(&tape[half..], &per_commit_ms[half..]);
     let csr_merges = stats.left().merges() + stats.right().merges();
-    let segments = stats.left().num_segments() + stats.right().num_segments();
 
     let (attack_ms, streamed) = timed(|| {
         attacks::run_ciphertext_only_streaming(AttackKind::Locality, &stats, aux, &params)
     });
     let (batch_ms, batch) =
         timed(|| attacks::run_ciphertext_only_series(AttackKind::Locality, &tape, aux, &params));
-    let identical = sorted_pairs(&streamed) == sorted_pairs(&batch);
 
-    eprintln!(
-        "perf_report: streaming updates {total_ms:.1} ms total over {} commits \
-         ({amortized_ms:.2} ms amortized, {worst_ms:.2} ms worst, {tput:.1} chunks/ms); \
-         halves {first_half_tput:.1} -> {second_half_tput:.1} chunks/ms; \
-         {csr_merges} CSR merges across {segments} live segments; \
-         streaming attack {attack_ms:.1} ms vs batch {batch_ms:.1} ms (identical: {identical})",
-        tape.len()
+    let mut rows = Rows::default();
+    rows.push(Info, "epochs", "count", tape.len());
+    rows.push(Info, "chunks", "chunks", cipher.len());
+    rows.push(Info, "update_total_ms", "ms", (total_ms, 1));
+    let amortized_ms = total_ms / tape.len() as f64;
+    rows.push(Info, "update_amortized_ms", "ms", (amortized_ms, 2));
+    rows.push(Info, "update_worst_ms", "ms", (worst_ms, 2));
+    rows.push(Info, "worst_compaction_ms", "ms", (worst_compaction_ms, 2));
+    let tput = cipher.len() as f64 / total_ms.max(1e-9);
+    rows.push(Higher, "update_chunks_per_ms", "chunks/ms", (tput, 1));
+    rows.push(
+        Info,
+        "first_half_chunks_per_ms",
+        "chunks/ms",
+        (first_half_tput, 1),
     );
-    let section = format!(
-        "  \"streaming\": {{ \"epochs\": {}, \"chunks\": {}, \"update_total_ms\": {total_ms:.1}, \
-         \"update_amortized_ms\": {amortized_ms:.2}, \"update_worst_ms\": {worst_ms:.2}, \
-         \"worst_compaction_ms\": {worst_compaction_ms:.2}, \"update_chunks_per_ms\": {tput:.1}, \
-         \"first_half_chunks_per_ms\": {first_half_tput:.1}, \
-         \"second_half_chunks_per_ms\": {second_half_tput:.1}, \"csr_merges\": {csr_merges}, \
-         \"merged_entries\": {merged_entries}, \"attack_ms\": {attack_ms:.1}, \
-         \"batch_attack_ms\": {batch_ms:.1}, \"identical_inference\": {identical} }},\n",
-        tape.len(),
-        cipher.len(),
+    rows.push(
+        Info,
+        "second_half_chunks_per_ms",
+        "chunks/ms",
+        (second_half_tput, 1),
     );
-    (section, identical)
+    rows.push(Info, "csr_merges", "count", csr_merges);
+    rows.push(Info, "merged_entries", "count", merged_entries);
+    rows.push(Info, "attack_ms", "ms", (attack_ms, 1));
+    rows.push(Info, "batch_attack_ms", "ms", (batch_ms, 1));
+    rows.flag(
+        "identical_inference",
+        sorted_pairs(&streamed) == sorted_pairs(&batch),
+    );
+    rows
 }
 
 /// Times the resilient client stack under a seeded network fault schedule:
@@ -409,9 +303,9 @@ fn bench_streaming(cipher: &Backup, aux: &Backup, threads: usize) -> (String, bo
 /// exactly-once contract is audited over the wire: every committed stream
 /// must restore byte-identical to what its client sent, and retried
 /// batches must never double-ingest (`logical_chunks` bounded by the
-/// chunks sent). Returns the `faults` JSON section and whether the audit
-/// passed on both runs.
-fn bench_faults(cipher: &Backup, unique: usize) -> (String, bool) {
+/// chunks sent). Every timing row is info: a seeded schedule's cost moves
+/// with socket timing, not with the code.
+fn bench_faults(cipher: &Backup, unique: usize) -> Rows {
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
@@ -516,9 +410,9 @@ fn bench_faults(cipher: &Backup, unique: usize) -> (String, bool) {
     eprintln!("perf_report: faults — seeded fault schedule through the proxy...");
     // The cut rate scales inversely with the upload length: this section
     // measures the cost of *succeeding* under faults, so it aims for a
-    // couple of connection cuts per client regardless of --chunks — a
-    // fixed per-frame rate would leave quick runs fault-free and exhaust
-    // every full-size client's retry budget (~500 frames per upload).
+    // couple of connection cuts per client at any run size — a fixed
+    // per-frame rate would leave quick runs fault-free and exhaust every
+    // full-size client's retry budget (~500 frames per upload).
     let batches_per_client = cipher.chunks.len().div_ceil(CLIENTS * opts.batch).max(1);
     let cut_per_mille = ((1500 / batches_per_client) as u16).clamp(1, 25);
     let spec = FaultSpec::quiet(0x00FA_0175)
@@ -527,40 +421,35 @@ fn bench_faults(cipher: &Backup, unique: usize) -> (String, bool) {
         .delays(30, 2);
     let (faulted_ms, results, fault_intact, injected) = run(Some(spec));
 
-    let retries: u64 = results.iter().map(|(_, r)| r.retries).sum();
-    let connects: u64 = results.iter().map(|(_, r)| r.connects).sum();
-    let batches_skipped: u64 = results.iter().map(|(_, r)| r.batches_skipped).sum();
-    let backoff_ms = results.iter().map(|(_, r)| r.backoff_micros).sum::<u64>() as f64 / 1e3;
+    let sum = |f: fn(&ResilienceReport) -> u64| results.iter().map(|(_, r)| f(r)).sum::<u64>();
     let reconnects: Vec<u64> = results
         .iter()
         .flat_map(|(_, r)| r.connect_micros.iter().copied())
         .collect();
     let reconnect_mean_us = reconnects.iter().sum::<u64>() as f64 / reconnects.len().max(1) as f64;
-    let reconnect_max_us = reconnects.iter().copied().max().unwrap_or(0);
-    let failed_clients = results.iter().filter(|(out, _)| out.is_err()).count();
-    let overhead = faulted_ms / clean_ms.max(1e-9);
-    let divergence = !(clean_intact && fault_intact);
     let [resets, partials, delays, frames] = injected;
 
-    eprintln!(
-        "perf_report: faults clean {clean_ms:.1} ms vs faulted {faulted_ms:.1} ms \
-         ({overhead:.2}x overhead); {retries} retries, {connects} connects, \
-         {batches_skipped} batches skipped, reconnect {reconnect_mean_us:.0} us mean / \
-         {reconnect_max_us} us max; injected {resets} resets / {partials} partials / \
-         {delays} delays over {frames} frames; {failed_clients} failed client(s); \
-         divergence: {divergence}"
-    );
-    let section = format!(
-        "  \"faults\": {{ \"clients\": {CLIENTS}, \"clean_ms\": {clean_ms:.1}, \
-         \"faulted_ms\": {faulted_ms:.1}, \"overhead\": {overhead:.2}, \"retries\": {retries}, \
-         \"connects\": {connects}, \"batches_skipped\": {batches_skipped}, \
-         \"backoff_ms\": {backoff_ms:.1}, \"reconnect_mean_us\": {reconnect_mean_us:.0}, \
-         \"reconnect_max_us\": {reconnect_max_us}, \"injected_resets\": {resets}, \
-         \"injected_partials\": {partials}, \"injected_delays\": {delays}, \
-         \"proxied_frames\": {frames}, \"failed_clients\": {failed_clients}, \
-         \"divergence\": {divergence} }},\n"
-    );
-    (section, !divergence)
+    let mut rows = Rows::default();
+    rows.push(Info, "clients", "count", CLIENTS);
+    rows.push(Info, "clean_ms", "ms", (clean_ms, 1));
+    rows.push(Info, "faulted_ms", "ms", (faulted_ms, 1));
+    rows.push(Info, "overhead", "x", (faulted_ms / clean_ms.max(1e-9), 2));
+    rows.push(Info, "retries", "count", sum(|r| r.retries));
+    rows.push(Info, "connects", "count", sum(|r| r.connects));
+    rows.push(Info, "batches_skipped", "count", sum(|r| r.batches_skipped));
+    let backoff_ms = sum(|r| r.backoff_micros) as f64 / 1e3;
+    rows.push(Info, "backoff_ms", "ms", (backoff_ms, 1));
+    rows.push(Info, "reconnect_mean_us", "us", (reconnect_mean_us, 0));
+    let reconnect_max_us = reconnects.iter().copied().max().unwrap_or(0);
+    rows.push(Info, "reconnect_max_us", "us", reconnect_max_us);
+    rows.push(Info, "injected_resets", "count", resets);
+    rows.push(Info, "injected_partials", "count", partials);
+    rows.push(Info, "injected_delays", "count", delays);
+    rows.push(Info, "proxied_frames", "count", frames);
+    let failed_clients = results.iter().filter(|(out, _)| out.is_err()).count();
+    rows.push(Info, "failed_clients", "count", failed_clients);
+    rows.flag("exactly_once", clean_intact && fault_intact);
+    rows
 }
 
 /// Times the chunking engines on deterministic pseudo-random bytes
@@ -568,15 +457,16 @@ fn bench_faults(cipher: &Backup, unique: usize) -> (String, bool) {
 /// paper's 8 KB-average configuration, sequential and parallel
 /// (`chunk_stream_par` at `threads` workers). Records MB/s per engine,
 /// the fastcdc-vs-rabin sequential speedup, fastcdc chunk-size
-/// distribution stats, and a `par_identical` check (parallel spans
-/// bit-identical to sequential for both engines). Returns the `chunking`
-/// JSON section and whether the identity check passed.
-fn bench_chunking(quick: bool, threads: usize) -> (String, bool) {
+/// distribution stats, and whether parallel spans are bit-identical to
+/// sequential for both engines. Only sequential fastcdc is gated: it is
+/// the engine the client pipeline rides; rabin is legacy and the parallel
+/// rows depend on the core count.
+fn bench_chunking(quick: bool, threads: usize) -> Rows {
     use freqdedup_chunking::cdc::CdcParams;
     use freqdedup_chunking::fastcdc::FastCdc;
     use freqdedup_chunking::{chunk_stream_par, Chunker};
 
-    let mib = if quick { 8 } else { 64 };
+    let mib: usize = if quick { 8 } else { 64 };
     eprintln!("perf_report: chunking {mib} MiB of pseudo-random bytes...");
     let mut x = 0x243f_6a88_85a3_08d3u64;
     let data: Vec<u8> = (0..mib << 20)
@@ -587,7 +477,7 @@ fn bench_chunking(quick: bool, threads: usize) -> (String, bool) {
             (x >> 33) as u8
         })
         .collect();
-    let mbps = |ms: f64| data.len() as f64 / 1e3 / ms.max(1e-9);
+    let mbps = |ms: f64| (data.len() as f64 / 1e3 / ms.max(1e-9), 1);
 
     let rabin = CdcParams::paper_8kb();
     let fast = FastCdc::paper_8kb();
@@ -618,37 +508,28 @@ fn bench_chunking(quick: bool, threads: usize) -> (String, bool) {
     let (fast_seq_ms, fast_spans) = best_of(REPS, || fast.spans(&data));
     let (fast_par_ms, fast_par_spans) = best_of(REPS, || chunk_stream_par(&data, &fast, par_cfg));
 
-    let par_identical = rabin_par_spans == rabin_spans && fast_par_spans == fast_spans;
-    let speedup = rabin_seq_ms / fast_seq_ms.max(1e-9);
-
-    let chunks = fast_spans.len();
     let sizes: Vec<usize> = fast_spans.iter().map(std::ops::Range::len).collect();
-    let mean_size = sizes.iter().sum::<usize>() as f64 / chunks.max(1) as f64;
-    let min_size = sizes.iter().copied().min().unwrap_or(0);
-    let max_size = sizes.iter().copied().max().unwrap_or(0);
+    let mean_size = sizes.iter().sum::<usize>() as f64 / sizes.len().max(1) as f64;
 
-    eprintln!(
-        "perf_report: chunking rabin-cdc {:.1} MB/s seq / {:.1} MB/s par, \
-         fastcdc {:.1} MB/s seq / {:.1} MB/s par ({speedup:.2}x vs rabin seq); \
-         fastcdc {chunks} chunks, {mean_size:.0} B mean, {min_size}..{max_size} B; \
-         par identical: {par_identical}",
-        mbps(rabin_seq_ms),
-        mbps(rabin_par_ms),
-        mbps(fast_seq_ms),
-        mbps(fast_par_ms),
+    let mut rows = Rows::default();
+    rows.push(Info, "input_mib", "MiB", mib);
+    rows.push(Info, "rabin_seq_mbps", "MB/s", mbps(rabin_seq_ms));
+    rows.push(Info, "rabin_par_mbps", "MB/s", mbps(rabin_par_ms));
+    rows.push(Higher, "fastcdc_seq_mbps", "MB/s", mbps(fast_seq_ms));
+    rows.push(Info, "fastcdc_par_mbps", "MB/s", mbps(fast_par_ms));
+    let speedup = rabin_seq_ms / fast_seq_ms.max(1e-9);
+    rows.push(Info, "speedup_vs_rabin", "x", (speedup, 2));
+    rows.push(Info, "chunks", "count", sizes.len());
+    rows.push(Info, "mean_size", "bytes", (mean_size, 0));
+    let min_size = sizes.iter().copied().min().unwrap_or(0);
+    rows.push(Info, "min_size", "bytes", min_size);
+    let max_size = sizes.iter().copied().max().unwrap_or(0);
+    rows.push(Info, "max_size", "bytes", max_size);
+    rows.flag(
+        "par_identical",
+        rabin_par_spans == rabin_spans && fast_par_spans == fast_spans,
     );
-    let section = format!(
-        "  \"chunking\": {{ \"input_mib\": {mib}, \"rabin_seq_mbps\": {:.1}, \
-         \"rabin_par_mbps\": {:.1}, \"fastcdc_seq_mbps\": {:.1}, \"fastcdc_par_mbps\": {:.1}, \
-         \"speedup_vs_rabin\": {speedup:.2}, \"chunks\": {chunks}, \"mean_size\": {mean_size:.0}, \
-         \"min_size\": {min_size}, \"max_size\": {max_size}, \
-         \"par_identical\": {par_identical} }},\n",
-        mbps(rabin_seq_ms),
-        mbps(rabin_par_ms),
-        mbps(fast_seq_ms),
-        mbps(fast_par_ms),
-    );
-    (section, par_identical)
+    rows
 }
 
 /// Times the storage lifecycle under churn. The cipher stream is split
@@ -658,13 +539,11 @@ fn bench_chunking(quick: bool, threads: usize) -> (String, bool) {
 /// and reclaims the dead bytes, and a REED-style rekey rewrites every
 /// live container under epoch 1. Records delete/GC/rekey latency and the
 /// physical reclaim throughput in MB/s (reclaimed dead bytes per GC
-/// wall-second — the number `ci/bench_guard.py` gates), then measures
-/// what churn does to the adversary: the locality attack on the churned
-/// tap (surviving generations only) vs the append-only stream, with the
-/// inferred-pair retention ratio. Surviving recipes are verified intact
-/// after the churn; returns the `lifecycle` JSON section and whether
-/// that check passed.
-fn bench_lifecycle(cipher: &Backup, aux: &Backup, unique: usize, threads: usize) -> (String, bool) {
+/// wall-second, the gated row), then measures what churn does to the
+/// adversary: the locality attack on the churned tap (surviving
+/// generations only) vs the append-only stream, with the inferred-pair
+/// retention ratio. Surviving recipes are verified intact after the churn.
+fn bench_lifecycle(cipher: &Backup, aux: &Backup, unique: usize, threads: usize) -> Rows {
     use freqdedup_store::persist::FsyncPolicy;
 
     const GENERATIONS: usize = 8;
@@ -711,7 +590,6 @@ fn bench_lifecycle(cipher: &Backup, aux: &Backup, unique: usize, threads: usize)
             .sum::<u64>()
     });
     let (gc_ms, report) = timed(|| engine.gc(1000));
-    let reclaim_mbps = report.reclaimed_bytes as f64 / 1e3 / gc_ms.max(1e-9);
     let (rekey_ms, rekey) = timed(|| engine.rekey(b"lifecycle-bench-epoch"));
 
     // Surviving recipes must be untouched by the compaction + rekey.
@@ -743,50 +621,44 @@ fn bench_lifecycle(cipher: &Backup, aux: &Backup, unique: usize, threads: usize)
     );
     let (attack_full_ms, full_inf) = timed(|| attack.run_ciphertext_only(cipher, aux));
     let (attack_churned_ms, churned_inf) = timed(|| attack.run_ciphertext_only(&churned, aux));
-    let retention = churned_inf.len() as f64 / full_inf.len().max(1) as f64;
 
-    eprintln!(
-        "perf_report: lifecycle ingest {ingest_ms:.1} ms over {} generations; delete x{} \
-         {delete_ms:.1} ms ({deleted_bytes} B released); GC {gc_ms:.1} ms — {} B reclaimed \
-         ({reclaim_mbps:.1} MB/s), {} containers dropped, {} chunks moved; rekey to epoch {} \
-         {rekey_ms:.1} ms ({} containers); attack full {attack_full_ms:.1} ms ({} pairs) vs \
-         churned {attack_churned_ms:.1} ms ({} pairs, {retention:.2} retention); \
-         recipes intact: {intact}",
-        generations.len(),
-        victims.len(),
-        report.reclaimed_bytes,
+    let mut rows = Rows::default();
+    rows.push(Info, "generations", "count", generations.len());
+    rows.push(Info, "deleted_generations", "count", victims.len());
+    rows.push(Info, "ingest_ms", "ms", (ingest_ms, 1));
+    rows.push(Info, "delete_ms", "ms", (delete_ms, 1));
+    rows.push(Info, "deleted_bytes", "bytes", deleted_bytes);
+    rows.push(Info, "gc_ms", "ms", (gc_ms, 1));
+    rows.push(Info, "reclaimed_bytes", "bytes", report.reclaimed_bytes);
+    let reclaim_mbps = report.reclaimed_bytes as f64 / 1e3 / gc_ms.max(1e-9);
+    rows.push(Higher, "reclaim_mb_per_s", "MB/s", (reclaim_mbps, 1));
+    rows.push(
+        Info,
+        "containers_dropped",
+        "count",
         report.containers_dropped,
-        report.moved_chunks,
-        rekey.epoch,
-        rekey.containers_rewritten,
-        full_inf.len(),
-        churned_inf.len(),
     );
-    let section = format!(
-        "  \"lifecycle\": {{ \"generations\": {}, \"deleted_generations\": {}, \
-         \"ingest_ms\": {ingest_ms:.1}, \"delete_ms\": {delete_ms:.1}, \
-         \"deleted_bytes\": {deleted_bytes}, \"gc_ms\": {gc_ms:.1}, \
-         \"reclaimed_bytes\": {}, \"reclaim_mb_per_s\": {reclaim_mbps:.1}, \
-         \"containers_dropped\": {}, \"moved_chunks\": {}, \"rekey_ms\": {rekey_ms:.1}, \
-         \"epoch\": {}, \"containers_rewritten\": {}, \"attack_full_ms\": {attack_full_ms:.1}, \
-         \"attack_churned_ms\": {attack_churned_ms:.1}, \"inferred_pairs_full\": {}, \
-         \"inferred_pairs_churned\": {}, \"pair_retention\": {retention:.2}, \
-         \"recipes_intact\": {intact} }},\n",
-        generations.len(),
-        victims.len(),
-        report.reclaimed_bytes,
-        report.containers_dropped,
-        report.moved_chunks,
-        rekey.epoch,
+    rows.push(Info, "moved_chunks", "count", report.moved_chunks);
+    rows.push(Info, "rekey_ms", "ms", (rekey_ms, 1));
+    rows.push(Info, "epoch", "epoch", rekey.epoch);
+    rows.push(
+        Info,
+        "containers_rewritten",
+        "count",
         rekey.containers_rewritten,
-        full_inf.len(),
-        churned_inf.len(),
     );
-    (section, intact)
+    rows.push(Info, "attack_full_ms", "ms", (attack_full_ms, 1));
+    rows.push(Info, "attack_churned_ms", "ms", (attack_churned_ms, 1));
+    rows.push(Info, "inferred_pairs_full", "pairs", full_inf.len());
+    rows.push(Info, "inferred_pairs_churned", "pairs", churned_inf.len());
+    let retention = churned_inf.len() as f64 / full_inf.len().max(1) as f64;
+    rows.push(Info, "pair_retention", "ratio", (retention, 2));
+    rows.flag("recipes_intact", intact);
+    rows
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_report(std::env::args().skip(1), USAGE, true);
     let threads = ParConfig::with_threads(args.threads).resolve();
     let seq_params = LocalityParams::default();
     let par_params = LocalityParams::default().threads(threads);
@@ -794,10 +666,10 @@ fn main() {
     let par_attack = LocalityAttack::new(par_params);
 
     eprintln!(
-        "perf_report: generating pair (~{} chunks per backup), {} worker thread(s)...",
-        args.chunks, threads
+        "perf_report: generating pair (~{} chunks per backup), {threads} worker thread(s)...",
+        args.chunks()
     );
-    let (aux, target) = build_pair(args.chunks);
+    let (aux, target) = build_pair(args.chunks());
     let enc = DeterministicTraceEncryptor::new(harness::MLE_SECRET);
 
     // --- MLE layer: sequential vs batch-parallel trace encryption. ---
@@ -822,15 +694,14 @@ fn main() {
     }
     drop(observed_par);
 
-    eprintln!(
-        "perf_report: cipher {} logical / {} unique chunks; aux {} logical",
-        cipher.len(),
-        cipher.unique_count(),
-        aux.len()
-    );
+    let unique = cipher.unique_count();
+    let mut rows = Rows::default();
+    rows.push(Info, "quick", "bool", args.quick);
+    rows.push(Info, "threads", "threads", threads);
+    rows.push(Exact, "logical_chunks_per_backup", "chunks", cipher.len());
+    rows.push(Info, "unique_chunks_cipher", "chunks", unique);
 
     // --- Store layer: single-engine vs prefix-sharded parallel ingest. ---
-    let unique = cipher.unique_count();
     let (seq_ingest_ms, seq_stats) = timed(|| {
         let mut engine = DedupEngine::new(store_config(unique)).expect("valid config");
         engine.ingest_backup(&cipher);
@@ -850,100 +721,15 @@ fn main() {
         "sharded ingest diverged from single-engine totals"
     );
 
-    // --- Durable store layer (optional): disk-backed ingest + close with
-    // the crash-safe fsync-always policy, then a timed cold-open recovery
-    // checked bit-for-bit against the pre-restart counters. ---
-    let persist_section = args.persist.as_ref().map_or(String::new(), |dir| {
-        eprintln!("perf_report: timing durable store backend under {dir}...");
-        let dir = std::path::PathBuf::from(dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        let pconfig = DedupConfig {
-            persist: Some(PersistConfig::new(&dir)),
-            ..store_config(unique)
-        };
-        let (disk_ingest_ms, engine) = timed(|| {
-            let mut engine = DedupEngine::open(pconfig.clone()).expect("fresh persistent dir");
-            engine.ingest_backup(&cipher);
-            engine.finish();
-            engine
-        });
-        let disk_stats = engine.stats();
-        assert_eq!(
-            (seq_stats.logical_chunks, seq_stats.unique_chunks),
-            (disk_stats.logical_chunks, disk_stats.unique_chunks),
-            "disk-backed ingest diverged from in-memory totals"
-        );
-        let (close_ms, ()) = timed(|| engine.close().expect("close persistent engine"));
-        let (cold_open_ms, recovered) =
-            timed(|| DedupEngine::open(pconfig.clone()).expect("cold-open recovery"));
-        assert_eq!(
-            recovered.stats(),
-            disk_stats,
-            "cold-open recovery diverged from the closed engine"
-        );
-        let containers = recovered.containers().sealed_count();
-        let disk_bytes: u64 = std::fs::read_dir(&dir)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0);
-        eprintln!(
-            "perf_report: disk ingest {disk_ingest_ms:.1} ms, close {close_ms:.1} ms, \
-             cold-open recovery {cold_open_ms:.1} ms ({containers} containers, {disk_bytes} B)"
-        );
-        format!(
-            "  \"persist\": {{ \"ingest_ms\": {disk_ingest_ms:.1}, \"close_ms\": {close_ms:.1}, \
-             \"cold_open_ms\": {cold_open_ms:.1}, \"containers\": {containers}, \
-             \"disk_bytes\": {disk_bytes} }},\n"
-        )
-    });
-
-    // --- Network service layer (optional): loopback multi-client ingest
-    // throughput and restore latency through the full wire stack. ---
-    let serve_section = if args.serve {
-        bench_serve(&cipher, unique)
-    } else {
-        String::new()
-    };
-
-    // --- Incremental attack engine (optional): per-commit update latency
-    // of the streaming COUNT/CSR state plus a streaming-vs-batch
-    // inference equivalence check. ---
-    let (streaming_section, streaming_identical) = if args.streaming {
-        bench_streaming(&cipher, &aux, threads)
-    } else {
-        (String::new(), true)
-    };
-
-    // --- Resilient client stack (optional): retry overhead and reconnect
-    // latency under a seeded network fault schedule, plus the exactly-once
-    // divergence audit. ---
-    let (faults_section, faults_intact) = if args.faults {
-        bench_faults(&cipher, unique)
-    } else {
-        (String::new(), true)
-    };
-
-    // --- Chunking engines (optional): rabin-cdc vs gear-hash fastcdc
-    // throughput on raw bytes, sequential and parallel, plus the
-    // parallel-equals-sequential identity check. ---
-    let (chunking_section, chunking_identical) = if args.chunking {
-        bench_chunking(args.quick, threads)
-    } else {
-        (String::new(), true)
-    };
-
-    // --- Storage lifecycle (optional): deletion, GC compaction reclaim
-    // throughput and rekey latency under churn, plus the churned-tap
-    // attack comparison. ---
-    let (lifecycle_section, lifecycle_intact) = if args.lifecycle {
-        bench_lifecycle(&cipher, &aux, unique, threads)
-    } else {
-        (String::new(), true)
-    };
+    if let Some(dir) = &args.persist {
+        let totals = (seq_stats.logical_chunks, seq_stats.unique_chunks);
+        rows.nest("persist", bench_persist(dir, &cipher, unique, totals));
+    }
+    rows.nest("serve", bench_serve(&cipher, unique));
+    rows.nest("streaming", bench_streaming(&cipher, &aux, threads));
+    rows.nest("faults", bench_faults(&cipher, unique));
+    rows.nest("chunking", bench_chunking(args.quick, threads));
+    rows.nest("lifecycle", bench_lifecycle(&cipher, &aux, unique, threads));
 
     // --- Attack layer. Warm the allocator and page cache once per path,
     // so the timed runs below don't charge first-touch page faults to
@@ -979,66 +765,64 @@ fn main() {
     });
     let (par_e2e_ms, par_inference) = timed(|| par_attack.run_ciphertext_only(&cipher, &aux));
 
+    let tput = |ms: f64| (cipher.len() as f64 / ms, 1);
+    rows.push(Info, "reference.count_ms", "ms", (ref_count_ms, 1));
+    rows.push(Info, "reference.end_to_end_ms", "ms", (ref_e2e_ms, 1));
+    rows.push(Info, "sequential.count_ms", "ms", (seq_count_ms, 1));
+    rows.push(
+        Higher,
+        "sequential.count_chunks_per_ms",
+        "chunks/ms",
+        tput(seq_count_ms),
+    );
+    rows.push(Info, "sequential.end_to_end_ms", "ms", (seq_e2e_ms, 1));
+    rows.push(
+        Higher,
+        "sequential.end_to_end_chunks_per_ms",
+        "chunks/ms",
+        tput(seq_e2e_ms),
+    );
+    rows.push(Info, "sequential.encrypt_ms", "ms", (seq_encrypt_ms, 1));
+    rows.push(Info, "sequential.ingest_ms", "ms", (seq_ingest_ms, 1));
+    rows.push(Info, "parallel.threads", "threads", threads);
+    rows.push(Info, "parallel.count_ms", "ms", (par_count_ms, 1));
+    rows.push(Info, "parallel.end_to_end_ms", "ms", (par_e2e_ms, 1));
+    rows.push(Info, "parallel.encrypt_ms", "ms", (par_encrypt_ms, 1));
+    rows.push(Info, "parallel.ingest_ms", "ms", (par_ingest_ms, 1));
+    rows.push(
+        Info,
+        "parallel.speedup_count",
+        "x",
+        (seq_count_ms / par_count_ms, 2),
+    );
+    rows.push(
+        Info,
+        "parallel.speedup_end_to_end",
+        "x",
+        (seq_e2e_ms / par_e2e_ms, 2),
+    );
+    rows.push(Info, "speedup_count", "x", (ref_count_ms / seq_count_ms, 2));
+    rows.push(
+        Info,
+        "speedup_end_to_end",
+        "x",
+        (ref_e2e_ms / seq_e2e_ms, 2),
+    );
     let ref_pairs = sorted_pairs(&ref_inference);
-    let identical =
-        ref_pairs == sorted_pairs(&seq_inference) && ref_pairs == sorted_pairs(&par_inference);
-    let speedup_count = ref_count_ms / seq_count_ms;
-    let speedup_e2e = ref_e2e_ms / seq_e2e_ms;
-    let par_speedup_count = seq_count_ms / par_count_ms;
-    let par_speedup_e2e = seq_e2e_ms / par_e2e_ms;
-
-    let json = format!(
-        "{{\n  \"bench\": \"locality_attack_end_to_end\",\n  \"quick\": {},\n  \"threads\": {},\n  \"logical_chunks_per_backup\": {},\n  \"unique_chunks_cipher\": {},\n  \"reference\": {{ \"count_ms\": {:.1}, \"end_to_end_ms\": {:.1} }},\n  \"sequential\": {{ \"count_ms\": {:.1}, \"end_to_end_ms\": {:.1}, \"encrypt_ms\": {:.1}, \"ingest_ms\": {:.1} }},\n  \"parallel\": {{ \"threads\": {}, \"count_ms\": {:.1}, \"end_to_end_ms\": {:.1}, \"encrypt_ms\": {:.1}, \"ingest_ms\": {:.1}, \"speedup_count\": {:.2}, \"speedup_end_to_end\": {:.2} }},\n{persist_section}{serve_section}{streaming_section}{faults_section}{chunking_section}{lifecycle_section}  \"speedup_count\": {:.2},\n  \"speedup_end_to_end\": {:.2},\n  \"identical_inference\": {},\n  \"inferred_pairs\": {}\n}}\n",
-        args.quick,
-        threads,
-        cipher.len(),
-        unique,
-        ref_count_ms,
-        ref_e2e_ms,
-        seq_count_ms,
-        seq_e2e_ms,
-        seq_encrypt_ms,
-        seq_ingest_ms,
-        threads,
-        par_count_ms,
-        par_e2e_ms,
-        par_encrypt_ms,
-        par_ingest_ms,
-        par_speedup_count,
-        par_speedup_e2e,
-        speedup_count,
-        speedup_e2e,
-        identical,
-        seq_inference.len(),
+    rows.flag(
+        "identical_inference",
+        ref_pairs == sorted_pairs(&seq_inference) && ref_pairs == sorted_pairs(&par_inference),
     );
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", args.out)));
-    print!("{json}");
+    rows.push(Info, "inferred_pairs", "pairs", seq_inference.len());
 
-    if !identical {
-        eprintln!("perf_report: FAIL — reference, sequential and parallel inference sets differ");
+    let report = rows.render();
+    std::fs::write(&args.out, &report)
+        .unwrap_or_else(|e| cli::die(USAGE, &format!("cannot write {}: {e}", args.out)));
+    print!("{report}");
+    let failed = rows.failed_flags();
+    if !failed.is_empty() {
+        eprintln!("perf_report: FAIL — flag rows false: {}", failed.join(", "));
         std::process::exit(1);
     }
-    if !streaming_identical {
-        eprintln!("perf_report: FAIL — streaming inference diverged from the batch recompute");
-        std::process::exit(1);
-    }
-    if !faults_intact {
-        eprintln!("perf_report: FAIL — exactly-once contract diverged under the fault schedule");
-        std::process::exit(1);
-    }
-    if !chunking_identical {
-        eprintln!("perf_report: FAIL — parallel chunking diverged from sequential");
-        std::process::exit(1);
-    }
-    if !lifecycle_intact {
-        eprintln!("perf_report: FAIL — surviving recipes corrupted by the lifecycle churn");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "perf_report: dense path is {speedup_e2e:.2}x end-to-end over reference; \
-         {threads}-thread parallel path is {par_speedup_e2e:.2}x over sequential dense \
-         ({par_speedup_count:.2}x on COUNT); wrote {}",
-        args.out
-    );
+    eprintln!("perf_report: wrote {}", args.out);
 }

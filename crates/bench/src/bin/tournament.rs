@@ -27,47 +27,43 @@
 //! throughput, and the inference rate per attack × policy; it asserts
 //! streaming ≡ batch for every cell and — the acceptance bar — that TED
 //! and PFSE at ≤2× blowup infer **strictly less** than `none` under the
-//! locality attack on both policies. The frontier lands in a `defense`
-//! section merged into `BENCH_attack.json` (guarded by
-//! `ci/bench_guard.py`: encryption throughput at the drop threshold,
-//! leakage rates at exact equality — the sweep is deterministic, so any
-//! drift is a correctness bug).
+//! locality attack on both policies. The frontier replaces the `defense.`
+//! rows of `BENCH_attack.json` (DESIGN.md §6; `ci/bench_guard.py` gates
+//! encryption throughput at 30% and holds leakage rates and blowups to
+//! exact equality — the sweep is deterministic, so any drift is a
+//! correctness bug).
 //!
-//! Usage: `tournament [--quick] [--chunks N] [--threads T] [--out PATH]`
+//! Usage: `tournament [--quick] [--threads T] [--out PATH]`
 //!
-//! * `--quick` — CI-sized run (~60k logical chunks per backup);
-//! * `--chunks N` — logical chunks per backup (default 1,000,000);
+//! * `--quick` — CI-sized run (~60k logical chunks per backup, default
+//!   ~1M);
 //! * `--threads T` — attack worker threads (default 0 = auto);
-//! * `--out PATH` — JSON artifact to merge the `defense` section into
-//!   (default `BENCH_attack.json`; other sections are preserved).
+//! * `--out PATH` — report whose `defense.` rows are replaced (default
+//!   `BENCH_attack.json`; other rows are preserved).
 
-use std::time::Instant;
-
-use freqdedup_bench::harness;
+use freqdedup_bench::cli;
+use freqdedup_bench::harness::{self, build_pair, sorted_pairs, store_config, timed};
+use freqdedup_bench::output::{Kind, Rows};
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::counting::TiePolicy;
 use freqdedup_core::defense::prelude::*;
-use freqdedup_core::metrics::{self, Inference};
+use freqdedup_core::metrics;
 use freqdedup_core::par::ParConfig;
-use freqdedup_datasets::fsl::{self, FslConfig};
 use freqdedup_mle::trace_enc::{DeterministicTraceEncryptor, EncryptedBackup};
 use freqdedup_server::client::Client;
 use freqdedup_server::server::{Server, ServerConfig, TapView};
-use freqdedup_store::engine::DedupConfig;
-use freqdedup_trace::{Backup, Fingerprint};
+use freqdedup_trace::Backup;
 
-const USAGE: &str = "usage: tournament [--quick] [--chunks N] [--threads T] [--out PATH]
+const USAGE: &str = "usage: tournament [--quick] [--threads T] [--out PATH]
 Runs every attack (basic/locality/advanced x both tie-break policies,
 batch + streaming) against every defense scheme through the real
-client -> server -> adversary-tap route and merges the resulting
-leakage-vs-overhead frontier into BENCH_attack.json as a `defense`
-section. Asserts the NoDefense stream bit-identical to the plain MLE
+client -> server -> adversary-tap route and writes the resulting
+leakage-vs-overhead frontier into BENCH_attack.json as its `defense.`
+rows. Asserts the NoDefense stream bit-identical to the plain MLE
 pipeline, streaming == batch everywhere, and TED/PFSE at <=2x blowup
 strictly below NoDefense under the locality attack.";
 
-const DEFAULT_CHUNKS: usize = 1_000_000;
-const QUICK_CHUNKS: usize = 60_000;
 /// Commits per defended upload: enough boundaries to exercise the
 /// streaming fold without drowning the run in connection setup.
 const EPOCHS: usize = 8;
@@ -81,95 +77,6 @@ const KINDS: [AttackKind; 3] = [
 const BUDGETS: [f64; 3] = [1.25, 1.5, 2.0];
 /// PFSE partition count (the paper-shaped default).
 const PARTITIONS: usize = 8;
-
-struct Args {
-    chunks: usize,
-    quick: bool,
-    threads: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        chunks: DEFAULT_CHUNKS,
-        quick: false,
-        threads: 0,
-        out: "BENCH_attack.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => {
-                args.quick = true;
-                args.chunks = QUICK_CHUNKS;
-            }
-            "--chunks" => {
-                let v = it.next().unwrap_or_else(|| die("--chunks needs a value"));
-                args.chunks = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--chunks must be an integer"));
-                if args.chunks == 0 {
-                    die("--chunks must be positive");
-                }
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| die("--threads needs a value"));
-                args.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| die("--threads must be an integer (0 = auto)"));
-            }
-            "--out" => {
-                args.out = it.next().unwrap_or_else(|| die("--out needs a value"));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
-    }
-    args
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("tournament: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Milliseconds spent in `f`, plus its result.
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64() * 1e3, out)
-}
-
-fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
-    let mut v: Vec<_> = inf.iter().collect();
-    v.sort_unstable();
-    v
-}
-
-/// The benchmark pair, identical to `perf_report`'s: two consecutive
-/// FSL-like monthly backups; the older is the plaintext aux, the newer
-/// the encryption target.
-fn build_pair(chunks: usize) -> (Backup, Backup) {
-    let cfg = FslConfig {
-        backups: 2,
-        ..FslConfig::scaled((chunks / 6).max(100))
-    };
-    let series = fsl::generate(&cfg);
-    let aux = series.get(0).expect("two backups generated").clone();
-    let target = series.get(1).expect("two backups generated").clone();
-    (aux, target)
-}
-
-fn store_config(unique: usize) -> DedupConfig {
-    DedupConfig {
-        cache_entries: unique / 4,
-        bloom_expected: (unique as u64).max(1024),
-        ..DedupConfig::default()
-    }
-}
 
 /// One frontier row: a scheme configuration with its measured overhead
 /// and the inference rate per attack kind x tie-break policy.
@@ -189,27 +96,22 @@ impl Row {
         self.rates[1]
     }
 
-    fn json(&self) -> String {
-        let budget = self
-            .budget
-            .map_or("null".to_string(), |b| format!("{b:.2}"));
-        format!(
-            "{{ \"scheme\": \"{}\", \"budget\": {budget}, \"blowup\": {:.4}, \
-             \"encrypt_ms\": {:.1}, \"enc_chunks_per_ms\": {:.1}, \
-             \"basic_stream\": {:.6}, \"basic_key\": {:.6}, \
-             \"locality_stream\": {:.6}, \"locality_key\": {:.6}, \
-             \"advanced_stream\": {:.6}, \"advanced_key\": {:.6} }}",
-            self.label,
-            self.blowup,
-            self.encrypt_ms,
-            self.enc_chunks_per_ms,
-            self.rates[0][0],
-            self.rates[0][1],
-            self.rates[1][0],
-            self.rates[1][1],
-            self.rates[2][0],
-            self.rates[2][1],
-        )
+    /// This scheme's report rows.
+    fn rows(&self) -> Rows {
+        let mut rows = Rows::default();
+        if let Some(budget) = self.budget {
+            rows.push(Kind::Info, "budget", "ratio", (budget, 2));
+        }
+        rows.push(Kind::Exact, "blowup", "ratio", (self.blowup, 4));
+        rows.push(Kind::Info, "encrypt_ms", "ms", (self.encrypt_ms, 1));
+        let tput = (self.enc_chunks_per_ms, 1);
+        rows.push(Kind::Higher, "enc_chunks_per_ms", "chunks/ms", tput);
+        for (attack, rates) in ["basic", "locality", "advanced"].iter().zip(self.rates) {
+            for (policy, rate) in ["stream", "key"].iter().zip(rates) {
+                rows.push(Kind::Exact, format!("{attack}_{policy}"), "frac", (rate, 6));
+            }
+        }
+        rows
     }
 }
 
@@ -303,42 +205,17 @@ fn run_scheme(
     (row, enc)
 }
 
-/// Splices `section` (a complete `  "defense": {...}` block, no trailing
-/// comma) into the JSON artifact at `path` as its **last** key,
-/// replacing any defense section a previous run left there and
-/// preserving every other section. The artifact is hand-formatted (the
-/// repo vendors no JSON serializer), so the merge is textual: the
-/// defense block is always appended before the closing brace, and an
-/// existing one is recognized by its `,\n  "defense":` marker.
-fn merge_into_artifact(path: &str, section: &str) -> String {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .filter(|s| s.trim_end().ends_with('}'))
-        .unwrap_or_else(|| "{\n  \"bench\": \"defense_tournament\"\n}\n".to_string());
-    if let Some(i) = doc.find(",\n  \"defense\":") {
-        doc.truncate(i);
-        doc.push_str("\n}\n");
-    }
-    let body = doc
-        .trim_end()
-        .strip_suffix('}')
-        .expect("artifact ends with a closing brace")
-        .trim_end()
-        .to_string();
-    format!("{body},\n{section}\n}}\n")
-}
-
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_report(std::env::args().skip(1), USAGE, false);
     let threads = ParConfig::with_threads(args.threads).resolve();
     let params = harness::co_params().threads(threads);
     let ctx = harness::key_context();
 
     eprintln!(
         "tournament: generating pair (~{} chunks per backup), {threads} worker thread(s)...",
-        args.chunks
+        args.chunks()
     );
-    let (aux, target) = build_pair(args.chunks);
+    let (aux, target) = build_pair(args.chunks());
 
     // The roster: every shipped scheme, tunables swept across BUDGETS.
     let mut roster: Vec<(String, Box<dyn DefenseScheme>)> = vec![
@@ -414,18 +291,21 @@ fn main() {
         }
     }
 
-    let row_json: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
-    let section = format!(
-        "  \"defense\": {{ \"quick\": {}, \"chunks\": {}, \"unique_chunks_target\": {}, \
-         \"epochs\": {EPOCHS}, \"threads\": {threads}, \"rows\": [\n{}\n  ] }}",
-        args.quick,
-        target.len(),
-        target.unique_count(),
-        row_json.join(",\n"),
-    );
-    let json = merge_into_artifact(&args.out, &section);
-    std::fs::write(&args.out, &json)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", args.out)));
+    let mut defense = Rows::default();
+    defense.push(Kind::Info, "quick", "bool", args.quick);
+    defense.push(Kind::Exact, "chunks", "chunks", target.len());
+    let unique = target.unique_count();
+    defense.push(Kind::Info, "unique_chunks_target", "chunks", unique);
+    defense.push(Kind::Info, "epochs", "count", EPOCHS);
+    defense.push(Kind::Info, "threads", "threads", threads);
+    for row in &rows {
+        defense.nest(&row.label, row.rows());
+    }
+    let mut report = Rows::default();
+    report.nest("defense", defense);
+    let existing = std::fs::read_to_string(&args.out).unwrap_or_default();
+    std::fs::write(&args.out, report.replace_in(&existing, "defense."))
+        .unwrap_or_else(|e| cli::die(USAGE, &format!("cannot write {}: {e}", args.out)));
 
     eprintln!("tournament: frontier ({} rows):", rows.len());
     eprintln!(
@@ -452,7 +332,7 @@ fn main() {
     }
     eprintln!(
         "tournament: all schemes within budget, streaming == batch everywhere, \
-         TED/PFSE strictly below the undefended locality rate; merged into {}",
+         TED/PFSE strictly below the undefended locality rate; wrote {}",
         args.out
     );
 }

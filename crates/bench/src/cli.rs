@@ -32,55 +32,113 @@ impl Default for CommonArgs {
 ///
 /// Exits the process (status 2) on malformed arguments.
 #[must_use]
-pub fn parse(args: impl Iterator<Item = String>, usage: &str) -> CommonArgs {
+pub fn parse(mut it: impl Iterator<Item = String>, usage: &str) -> CommonArgs {
     let mut out = CommonArgs::default();
-    let mut it = args.peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die(usage, "--scale needs a value"));
-                out.scale = v
-                    .parse()
-                    .unwrap_or_else(|_| die(usage, "--scale must be a number"));
+                out.scale = value(&mut it, "--scale", usage);
                 if out.scale <= 0.0 {
-                    die::<f64>(usage, "--scale must be positive");
+                    die(usage, "--scale must be positive");
                 }
             }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die(usage, "--seed needs a value"));
-                out.seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| die(usage, "--seed must be an integer")),
-                );
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die(usage, "--threads needs a value"));
-                out.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| die(usage, "--threads must be an integer (0 = auto)"));
-            }
+            "--seed" => out.seed = Some(value(&mut it, "--seed", usage)),
+            "--threads" => out.threads = value(&mut it, "--threads", usage),
             "--csv" => out.csv = true,
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                die::<()>(usage, &format!("unknown flag {other}"));
-            }
+            other => help_or_die(other, usage),
         }
     }
     out
 }
 
-fn die<T>(usage: &str, msg: &str) -> T {
+/// Flags of the report binaries `perf_report` and `tournament`.
+#[derive(Clone, Debug)]
+pub struct ReportArgs {
+    /// CI-sized run: [`QUICK_CHUNKS`] instead of [`FULL_CHUNKS`] logical
+    /// chunks per backup.
+    pub quick: bool,
+    /// Worker threads for the parallel paths (0 = auto-detect).
+    pub threads: usize,
+    /// Root directory for `perf_report`'s durable-store rows, if given.
+    pub persist: Option<String>,
+    /// Report path.
+    pub out: String,
+}
+
+/// Logical chunks per backup of a full-size report run.
+pub const FULL_CHUNKS: usize = 1_000_000;
+/// Logical chunks per backup of a `--quick` report run.
+pub const QUICK_CHUNKS: usize = 60_000;
+
+impl ReportArgs {
+    /// Logical chunks per backup for this run.
+    #[must_use]
+    pub fn chunks(&self) -> usize {
+        if self.quick {
+            QUICK_CHUNKS
+        } else {
+            FULL_CHUNKS
+        }
+    }
+}
+
+/// Parses `--quick`, `--threads <usize>`, `--out <path>` and, when
+/// `persist` is set, `--persist <dir>`.
+///
+/// # Panics
+///
+/// Exits the process (status 2) on malformed arguments.
+#[must_use]
+pub fn parse_report(
+    mut it: impl Iterator<Item = String>,
+    usage: &str,
+    persist: bool,
+) -> ReportArgs {
+    let mut out = ReportArgs {
+        quick: false,
+        threads: 0,
+        persist: None,
+        out: "BENCH_attack.json".to_string(),
+    };
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => out.quick = true,
+            "--threads" => out.threads = value(&mut it, "--threads", usage),
+            "--persist" if persist => out.persist = Some(value(&mut it, "--persist", usage)),
+            "--out" => out.out = value(&mut it, "--out", usage),
+            other => help_or_die(other, usage),
+        }
+    }
+    out
+}
+
+/// Prints `msg` and the usage text to stderr and exits with status 2.
+pub fn die(usage: &str, msg: &str) -> ! {
     eprintln!("error: {msg}\n{usage}");
     std::process::exit(2);
+}
+
+/// Parses the value that follows `flag`, or exits through [`die`].
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    usage: &str,
+) -> T {
+    let v = it
+        .next()
+        .unwrap_or_else(|| die(usage, &format!("{flag} needs a value")));
+    v.parse()
+        .unwrap_or_else(|_| die(usage, &format!("{flag}: cannot parse {v:?}")))
+}
+
+/// Handles `--help`/`-h` (usage to stdout, exit 0); any other flag is
+/// unknown.
+fn help_or_die(flag: &str, usage: &str) -> ! {
+    if matches!(flag, "--help" | "-h") {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    die(usage, &format!("unknown flag {flag}"))
 }
 
 #[cfg(test)]
@@ -119,5 +177,20 @@ mod tests {
     fn threads_zero_means_auto() {
         let a = parse(args(&["--threads", "0"]), "u");
         assert_eq!(a.threads, 0);
+    }
+
+    #[test]
+    fn report_flags() {
+        let a = parse_report(args(&[]), "u", false);
+        assert!(!a.quick);
+        assert_eq!((a.threads, a.chunks()), (0, FULL_CHUNKS));
+        assert_eq!((a.persist, a.out.as_str()), (None, "BENCH_attack.json"));
+        let a = parse_report(
+            args(&["--quick", "--threads", "1", "--persist", "d", "--out", "o"]),
+            "u",
+            true,
+        );
+        assert_eq!((a.threads, a.chunks()), (1, QUICK_CHUNKS));
+        assert_eq!((a.persist.as_deref(), a.out.as_str()), (Some("d"), "o"));
     }
 }

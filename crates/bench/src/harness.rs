@@ -4,9 +4,11 @@ use freqdedup_chunking::segment::SegmentParams;
 use freqdedup_core::attacks::locality::LocalityParams;
 use freqdedup_core::attacks::{self, AttackKind};
 use freqdedup_core::defense::{DefenseScheme, KeyContext};
-use freqdedup_core::metrics::{self, InferenceReport};
+use freqdedup_core::metrics::{self, Inference, InferenceReport};
+use freqdedup_datasets::fsl::{self, FslConfig};
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
-use freqdedup_trace::Backup;
+use freqdedup_store::engine::DedupConfig;
+use freqdedup_trace::{Backup, Fingerprint};
 
 /// The system-wide MLE secret used by all experiments (arbitrary; the
 /// adversary never learns it).
@@ -98,6 +100,48 @@ pub fn run_defended(
 #[must_use]
 pub fn segment_params(avg_chunk_size: u32) -> SegmentParams {
     SegmentParams::paper_default(avg_chunk_size)
+}
+
+/// Milliseconds spent in `f`, plus its result.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = std::time::Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// An inference set as sorted `(ciphertext, plaintext)` pairs, for
+/// order-independent comparison.
+#[must_use]
+pub fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
+    let mut v: Vec<_> = inf.iter().collect();
+    v.sort_unstable();
+    v
+}
+
+/// The report binaries' benchmark pair: two consecutive FSL-like monthly
+/// backups of ~`chunks` logical chunks each. Returns `(aux, target)`: the
+/// older one is the plaintext aux, the newer one the encryption target.
+#[must_use]
+pub fn build_pair(chunks: usize) -> (Backup, Backup) {
+    let cfg = FslConfig {
+        backups: 2,
+        ..FslConfig::scaled((chunks / 6).max(100))
+    };
+    let series = fsl::generate(&cfg);
+    let aux = series.get(0).expect("two backups generated").clone();
+    let target = series.get(1).expect("two backups generated").clone();
+    (aux, target)
+}
+
+/// Store configuration sized for a stream of `unique` unique chunks: the
+/// cache holds a quarter of them.
+#[must_use]
+pub fn store_config(unique: usize) -> DedupConfig {
+    DedupConfig {
+        cache_entries: unique / 4,
+        bloom_expected: (unique as u64).max(1024),
+        ..DedupConfig::default()
+    }
 }
 
 #[cfg(test)]
