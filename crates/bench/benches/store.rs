@@ -61,7 +61,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("unique_stream", |b| {
         b.iter(|| {
             let mut engine =
-                DedupEngine::new(DedupConfig::paper(64 * 1024 * 1024, 300_000)).unwrap();
+                DedupEngine::open(DedupConfig::paper(64 * 1024 * 1024, 300_000)).unwrap();
             for &rec in &unique {
                 engine.process(rec);
             }
@@ -70,7 +70,7 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("second_full_backup", |b| {
         // Duplicate-heavy: the locality prefetch path dominates.
-        let mut engine = DedupEngine::new(DedupConfig::paper(64 * 1024 * 1024, 300_000)).unwrap();
+        let mut engine = DedupEngine::open(DedupConfig::paper(64 * 1024 * 1024, 300_000)).unwrap();
         for &rec in &unique {
             engine.process(rec);
         }

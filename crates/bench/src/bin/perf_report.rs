@@ -62,7 +62,6 @@ use freqdedup_core::par::ParConfig;
 use freqdedup_mle::trace_enc::DeterministicTraceEncryptor;
 use freqdedup_store::engine::{DedupConfig, DedupEngine};
 use freqdedup_store::persist::PersistConfig;
-use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::Backup;
 
 use Kind::{Exact, Higher, Info};
@@ -92,7 +91,7 @@ fn bench_persist(dir: &str, cipher: &Backup, unique: usize, totals: (u64, u64)) 
     };
     let (ingest_ms, engine) = timed(|| {
         let mut engine = DedupEngine::open(pconfig.clone()).expect("fresh persistent dir");
-        engine.ingest_backup(cipher);
+        engine.ingest_backup(cipher, ParConfig::sequential());
         engine.finish();
         engine
     });
@@ -122,7 +121,7 @@ fn bench_persist(dir: &str, cipher: &Backup, unique: usize, totals: (u64, u64)) 
     rows.push(Info, "ingest_ms", "ms", (ingest_ms, 1));
     rows.push(Info, "close_ms", "ms", (close_ms, 1));
     rows.push(Info, "cold_open_ms", "ms", (cold_open_ms, 1));
-    let containers = recovered.containers().sealed_count();
+    let containers = recovered.shards()[0].containers().sealed_count();
     rows.push(Info, "containers", "count", containers);
     rows.push(Info, "disk_bytes", "bytes", disk_bytes);
     rows
@@ -567,7 +566,7 @@ fn bench_lifecycle(cipher: &Backup, aux: &Backup, unique: usize, threads: usize)
     let (ingest_ms, mut engine) = timed(|| {
         let mut engine = DedupEngine::open(config).expect("fresh lifecycle scratch dir");
         for (i, gen) in generations.iter().enumerate() {
-            engine.ingest_backup(gen);
+            engine.ingest_backup(gen, ParConfig::sequential());
             engine
                 .commit_backup(i as u64 + 1, i as u64 + 1, &gen.chunks)
                 .expect("commit generation");
@@ -592,14 +591,16 @@ fn bench_lifecycle(cipher: &Backup, aux: &Backup, unique: usize, threads: usize)
     let (gc_ms, report) = timed(|| engine.gc(1000));
     let (rekey_ms, rekey) = timed(|| engine.rekey(b"lifecycle-bench-epoch"));
 
-    // Surviving recipes must be untouched by the compaction + rekey.
+    // Surviving recipes must be untouched by the compaction + rekey (one
+    // shard: its recipes are the whole backups).
     let mut intact = engine.committed_backups().len() == generations.len() - victims.len();
+    let shard = &engine.shards()[0];
     for (i, gen) in generations.iter().enumerate() {
         let id = i as u64 + 1;
         if victims.contains(&id) {
-            intact &= engine.backup_recipe(id).is_none();
+            intact &= shard.backup_recipe(id).is_none();
         } else {
-            intact &= engine
+            intact &= shard
                 .backup_recipe(id)
                 .is_some_and(|r| r.chunks == gen.chunks);
         }
@@ -703,14 +704,14 @@ fn main() {
 
     // --- Store layer: single-engine vs prefix-sharded parallel ingest. ---
     let (seq_ingest_ms, seq_stats) = timed(|| {
-        let mut engine = DedupEngine::new(store_config(unique)).expect("valid config");
-        engine.ingest_backup(&cipher);
+        let mut engine = DedupEngine::open(store_config(unique)).expect("valid config");
+        engine.ingest_backup(&cipher, ParConfig::sequential());
         engine.finish();
         engine.stats()
     });
     let (par_ingest_ms, par_stats) = timed(|| {
         let mut engine =
-            ShardedDedupEngine::new(store_config(unique), threads.max(1)).expect("valid config");
+            DedupEngine::open_sharded(store_config(unique), threads.max(1)).expect("valid config");
         engine.ingest_backup(&cipher, ParConfig::with_threads(threads));
         engine.finish();
         engine.stats()

@@ -3,6 +3,7 @@
 use freqdedup_core::defense::MinHashScrambleScheme;
 use freqdedup_store::engine::{DedupConfig, DedupEngine};
 use freqdedup_store::stats::MetadataAccess;
+use freqdedup_trace::par::ParConfig;
 use freqdedup_trace::BackupSeries;
 
 use crate::{data, harness, output};
@@ -40,13 +41,12 @@ pub fn ingest(series: &BackupSeries, cache_entries: usize) -> MetadataRun {
         }
         seen.len()
     };
-    let mut engine = DedupEngine::new(DedupConfig {
+    let mut engine = DedupEngine::open(DedupConfig {
         container_bytes: 4 * 1024 * 1024,
         cache_entries,
         entry_bytes: 32,
         bloom_expected: (total_unique as u64).max(1024),
         bloom_fp_rate: 0.01,
-        index_shards: 1,
         persist: None,
     })
     .expect("valid config");
@@ -55,7 +55,7 @@ pub fn ingest(series: &BackupSeries, cache_entries: usize) -> MetadataRun {
     let mut per_backup = Vec::new();
     let mut prev = MetadataAccess::default();
     for backup in series {
-        engine.ingest_backup(backup);
+        engine.ingest_backup(backup, ParConfig::sequential());
         let now = engine.metadata_access();
         labels.push(backup.label.clone());
         per_backup.push(now - prev);

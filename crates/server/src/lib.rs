@@ -12,8 +12,8 @@
 //!   SHUTDOWN) and its binary encoding;
 //! * [`pool`] — a bounded connection worker pool built on the scoped
 //!   deterministic primitives of [`freqdedup_core::par`];
-//! * [`server`] — the TCP service: a [`freqdedup_store::sharded::ShardedDedupEngine`]
-//!   (optionally durable via the PR 4 persistence layer) behind an accept
+//! * [`server`] — the TCP service: a [`freqdedup_store::engine::DedupEngine`]
+//!   (optionally durable via the store's persistence layer) behind an accept
 //!   loop and N session workers, with graceful drain-and-checkpoint
 //!   shutdown;
 //! * [`session`] — the per-connection protocol state machine;

@@ -1,7 +1,7 @@
 //! The encrypted-dedup TCP service.
 //!
-//! One [`ShardedDedupEngine`] (optionally durable via the PR 4
-//! persistence layer) serves N concurrent client sessions:
+//! One [`DedupEngine`] (optionally durable via the store's persistence
+//! layer) serves N concurrent client sessions:
 //!
 //! * the **acceptor** polls a non-blocking [`TcpListener`] and feeds
 //!   accepted connections into a [`JobQueue`];
@@ -28,9 +28,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use freqdedup_store::container::PayloadMode;
-use freqdedup_store::engine::DedupConfig;
+use freqdedup_store::engine::{DedupConfig, DedupEngine};
 use freqdedup_store::persist::PersistError;
-use freqdedup_store::sharded::ShardedDedupEngine;
 use freqdedup_trace::io::TraceIoError;
 use freqdedup_trace::ChunkRecord;
 
@@ -154,7 +153,7 @@ impl From<TraceIoError> for ServeError {
 /// first PUT and enforced thereafter — also across restarts).
 #[derive(Debug)]
 pub(crate) struct EngineSlot {
-    pub engine: Option<ShardedDedupEngine>,
+    pub engine: Option<DedupEngine>,
     pub payload_mode: Option<bool>,
 }
 
@@ -195,7 +194,7 @@ impl Shared {
         let s = slot
             .engine
             .as_ref()
-            .map(ShardedDedupEngine::stats)
+            .map(DedupEngine::stats)
             .unwrap_or_default();
         ServerStats {
             logical_chunks: s.logical_chunks,
@@ -276,7 +275,7 @@ impl Server {
     /// recover, [`ServeError::Tap`] when a persisted tap is corrupt,
     /// [`ServeError::Io`] when the socket cannot be bound.
     pub fn bind(config: ServerConfig) -> Result<Server, ServeError> {
-        let engine = ShardedDedupEngine::open(config.engine.clone(), config.shards)?;
+        let engine = DedupEngine::open_sharded(config.engine.clone(), config.shards)?;
         // Re-derive the payload-mode commitment from recovered containers
         // so a restarted service keeps rejecting mixed-mode uploads.
         let payload_mode = engine

@@ -566,7 +566,7 @@ impl Session<'_> {
         )
     }
 
-    /// Ingests one batch: dedup through the sharded engine *and* append
+    /// Ingests one batch: dedup through the engine *and* append
     /// to the session's observed stream (the tap sees the logical
     /// pre-dedup order, exactly the paper's adversary).
     fn handle_put(
@@ -704,7 +704,7 @@ impl Session<'_> {
         let slot = lock_unpoisoned(&self.shared.slot);
         slot.engine
             .as_ref()
-            .map_or(0, freqdedup_store::sharded::ShardedDedupEngine::epoch)
+            .map_or(0, freqdedup_store::engine::DedupEngine::epoch)
     }
 
     /// Replies [`code::STALE_EPOCH`] (returning `true`) when the store
@@ -762,7 +762,7 @@ pub(crate) fn label_backup_id(label: &str) -> u64 {
 /// carries the manifest's size for metadata-only stores (the engine does
 /// not retain per-chunk sizes without payloads).
 fn chunk_resp(
-    engine: &freqdedup_store::sharded::ShardedDedupEngine,
+    engine: &freqdedup_store::engine::DedupEngine,
     fp: Fingerprint,
     known_size: u32,
 ) -> Message {

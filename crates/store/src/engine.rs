@@ -16,6 +16,19 @@
 //!   its container into the cache (*loading access*), evicting
 //!   least-recently-used entries when full.
 //!
+//! ## Shards
+//!
+//! A [`DedupEngine`] range-partitions the fingerprint space over `N ≥ 1`
+//! [`Shard`]s ([`Fingerprint::prefix_shard`]), each a complete DDFS engine,
+//! so every chunk runs the exact S1→S4 workflow against the one shard that
+//! owns it and duplicate detection stays exact. [`DedupEngine::open`] is
+//! the paper's single store; [`DedupEngine::open_sharded`] builds `N`
+//! shards for parallel ingest. The partition is a pure function of the
+//! fingerprint and ingest keeps stream order within each shard, so the
+//! state is the same at any thread count. The shard count changes only
+//! the container packing (hence the S1/S4 split of duplicate hits), never
+//! the logical / unique / duplicate totals.
+//!
 //! ## Durability
 //!
 //! With [`DedupConfig::persist`] set, the engine is backed by a directory:
@@ -41,6 +54,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use freqdedup_trace::par::{self, ParConfig};
 use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 
 use crate::bloom::BloomFilter;
@@ -72,9 +86,6 @@ pub struct DedupConfig {
     pub bloom_expected: u64,
     /// Bloom filter target false-positive rate.
     pub bloom_fp_rate: f64,
-    /// Fingerprint-prefix shards of the on-disk index (1 = the paper's
-    /// single-map layout; see [`crate::index::FingerprintIndex`]).
-    pub index_shards: usize,
     /// Durable backing directory; `None` keeps the engine purely in-memory
     /// (the behaviour of every release before the persistence layer).
     pub persist: Option<PersistConfig>,
@@ -91,7 +102,6 @@ impl DedupConfig {
             entry_bytes: 32,
             bloom_expected,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         }
     }
@@ -121,19 +131,16 @@ impl DedupConfig {
         if !(self.bloom_fp_rate > 0.0 && self.bloom_fp_rate < 1.0) {
             return Err("bloom_fp_rate must be in (0, 1)".into());
         }
-        if self.index_shards == 0 {
-            return Err("index_shards must be positive".into());
-        }
         Ok(())
     }
 
-    /// The `store.meta` echo of this configuration for a single engine.
-    fn meta(&self) -> StoreMeta {
+    /// The `store.meta` echo of this configuration for a directory of
+    /// `kind` holding `shards` shards.
+    fn meta(&self, kind: MetaKind, shards: usize) -> StoreMeta {
         StoreMeta {
-            kind: MetaKind::Engine,
-            shards: 1,
+            kind,
+            shards: shards as u32,
             entry_bytes: self.entry_bytes,
-            index_shards: self.index_shards as u32,
             container_bytes: self.container_bytes,
         }
     }
@@ -177,24 +184,13 @@ struct PersistState {
     events: u64,
 }
 
-/// The DDFS-like deduplication engine.
-///
-/// # Example
-///
-/// ```
-/// use freqdedup_store::engine::{DedupConfig, DedupEngine};
-/// use freqdedup_trace::ChunkRecord;
-///
-/// let mut engine = DedupEngine::new(DedupConfig::paper(1 << 20, 1000)).unwrap();
-/// let a = engine.process(ChunkRecord::new(1u64, 4096));
-/// let b = engine.process(ChunkRecord::new(1u64, 4096));
-/// assert!(!a.is_duplicate());
-/// assert!(b.is_duplicate());
-/// engine.finish();
-/// assert_eq!(engine.stats().unique_chunks, 1);
-/// ```
+/// One fingerprint-prefix shard of a [`DedupEngine`]: a complete DDFS-like
+/// engine with its own Bloom filter, cache, containers, index, lifecycle
+/// state and (when durable) directory. Its mutating methods are reached
+/// through the owning [`DedupEngine`]; its inspectors through
+/// [`DedupEngine::shards`].
 #[derive(Debug)]
-pub struct DedupEngine {
+pub struct Shard {
     config: DedupConfig,
     bloom: BloomFilter,
     cache: FingerprintCache,
@@ -211,38 +207,17 @@ pub struct DedupEngine {
     persist: Option<PersistState>,
 }
 
-impl DedupEngine {
-    /// Builds an engine from a validated configuration ([`Self::open`] with
-    /// the error stringified — kept for source compatibility).
-    ///
-    /// # Errors
-    ///
-    /// Returns the display form of the [`Self::open`] error.
-    pub fn new(config: DedupConfig) -> Result<Self, String> {
-        Self::open(config).map_err(|e| e.to_string())
-    }
-
-    /// Opens an engine. With [`DedupConfig::persist`] unset this is a pure
-    /// in-memory construction; with it set, the backing directory is
-    /// created on first use and **recovered** on every later open — the
-    /// engine resumes exactly where [`Self::close`] left it (or at the last
-    /// consistent sealed state after a crash).
-    ///
-    /// # Errors
-    ///
-    /// * [`PersistError::InvalidConfig`] — [`DedupConfig::validate`] failed;
-    /// * [`PersistError::ConfigMismatch`] — the directory was created under
-    ///   an incompatible configuration;
-    /// * [`PersistError::Corrupt`] / [`PersistError::Torn`] — the directory
-    ///   violates the recovery invariant beyond the tolerated torn tail;
-    /// * [`PersistError::Io`] — filesystem failure.
-    pub fn open(config: DedupConfig) -> Result<Self, PersistError> {
+impl Shard {
+    /// Opens a shard (see [`DedupEngine::open`]): in-memory without
+    /// [`DedupConfig::persist`], otherwise created on first use and
+    /// **recovered** from its directory on every later open.
+    fn open(config: DedupConfig) -> Result<Self, PersistError> {
         config.validate().map_err(PersistError::InvalidConfig)?;
-        let mut engine = DedupEngine {
+        let mut engine = Shard {
             bloom: BloomFilter::with_capacity(config.bloom_expected, config.bloom_fp_rate),
             cache: FingerprintCache::new(config.cache_entries),
             containers: ContainerStore::new(config.container_bytes),
-            index: FingerprintIndex::with_shards(config.entry_bytes, config.index_shards),
+            index: FingerprintIndex::with_entry_bytes(config.entry_bytes),
             loading_bytes: 0,
             loading_ops: 0,
             stats: StoreStats::default(),
@@ -274,7 +249,8 @@ impl DedupEngine {
             // existing meta must agree first — a sharded root, say, has a
             // meta but no top-level manifest, and blindly re-initializing
             // would clobber it.
-            persist::ensure_meta(&pcfg.dir, &engine.config.meta(), pcfg.fsync, &pcfg.io)?;
+            let meta = engine.config.meta(MetaKind::Engine, 1);
+            persist::ensure_meta(&pcfg.dir, &meta, pcfg.fsync, &pcfg.io)?;
             let manifest = ManifestWriter::create(&pcfg.dir, pcfg.fsync, &pcfg.io)?;
             engine.persist = Some(PersistState {
                 cfg: pcfg,
@@ -287,10 +263,10 @@ impl DedupEngine {
     }
 
     /// Rebuilds a fresh `engine` from the persistent directory state.
-    fn recover(mut engine: DedupEngine, pcfg: PersistConfig) -> Result<Self, PersistError> {
+    fn recover(mut engine: Shard, pcfg: PersistConfig) -> Result<Self, PersistError> {
         let dir = pcfg.dir.clone();
         let meta = persist::read_meta(&dir)?;
-        let want = engine.config.meta();
+        let want = engine.config.meta(MetaKind::Engine, 1);
         if meta != want {
             return Err(PersistError::ConfigMismatch(format!(
                 "directory was created as {meta:?}, opened as {want:?}"
@@ -476,19 +452,10 @@ impl DedupEngine {
         };
         let base_seq = match usable {
             Some(s) => {
-                if s.entry_bytes != engine.config.entry_bytes
-                    || s.index_shards as usize != engine.config.index_shards
-                {
+                if s.entry_bytes != engine.config.entry_bytes {
                     return Err(PersistError::ConfigMismatch(
                         "snapshot was written under a different index configuration".into(),
                     ));
-                }
-                if s.shard_counters.len() != engine.config.index_shards {
-                    return Err(PersistError::Corrupt(format!(
-                        "snapshot carries {} shard counter rows for {} shards",
-                        s.shard_counters.len(),
-                        engine.config.index_shards
-                    )));
                 }
                 engine.stats = StoreStats::from_array(s.stats);
                 engine.loading_bytes = s.loading_bytes;
@@ -498,7 +465,7 @@ impl DedupEngine {
                         .index
                         .restore_entry(Fingerprint(fp), ContainerId(cid));
                 }
-                engine.index.set_shard_counters(&s.shard_counters);
+                engine.index.set_counters(s.index_counters);
                 let lru: Vec<Fingerprint> = s.cache_lru.iter().map(|&fp| Fingerprint(fp)).collect();
                 engine
                     .cache
@@ -609,30 +576,9 @@ impl DedupEngine {
         Ok(engine)
     }
 
-    /// Processes one chunk without payload (trace-driven mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine previously stored payload-bearing chunks
-    /// (mixed-mode ingestion, see [`crate::container::PayloadMode`]), or —
-    /// for a persistent engine — when a container/manifest write fails.
-    pub fn process(&mut self, record: ChunkRecord) -> ChunkOutcome {
-        self.process_inner(record, None)
-    }
-
-    /// Processes one chunk storing its payload bytes (content mode).
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when `payload.len() != record.size`. Panics when the
-    /// engine previously stored metadata-only chunks (mixed-mode
-    /// ingestion), or — for a persistent engine — when a container/manifest
-    /// write fails.
-    pub fn process_with_payload(&mut self, record: ChunkRecord, payload: &[u8]) -> ChunkOutcome {
-        self.process_inner(record, Some(payload))
-    }
-
-    fn process_inner(&mut self, record: ChunkRecord, payload: Option<&[u8]>) -> ChunkOutcome {
+    /// Runs one chunk, with its payload in content mode, through S1→S4 (see
+    /// [`DedupEngine::process`]).
+    fn process(&mut self, record: ChunkRecord, payload: Option<&[u8]>) -> ChunkOutcome {
         self.stats.logical_chunks += 1;
         self.stats.logical_bytes += u64::from(record.size);
 
@@ -729,27 +675,8 @@ impl DedupEngine {
         }
     }
 
-    /// Ingests a whole backup in logical order.
-    pub fn ingest_backup(&mut self, backup: &Backup) {
-        for &record in backup {
-            self.process(record);
-        }
-    }
-
-    /// Seals the open container and indexes its chunks. Call once after the
-    /// final backup (the engine remains usable afterwards).
-    ///
-    /// For a persistent engine this is also the interval-snapshot point: a
-    /// snapshot is written when [`PersistConfig::snapshot_every_seals`]
-    /// containers have been sealed since the last one (`finish` is the
-    /// first moment the open container is empty, which is what makes the
-    /// snapshot image consistent).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a persistent engine fails to write the container log,
-    /// manifest record or snapshot.
-    pub fn finish(&mut self) {
+    /// See [`DedupEngine::finish`].
+    fn finish(&mut self) {
         if let Some(id) = self.containers.flush() {
             self.on_sealed(id);
         }
@@ -762,32 +689,16 @@ impl DedupEngine {
         }
     }
 
-    /// Seals the open container and writes a snapshot now (a durable
-    /// checkpoint). No-op beyond [`Self::finish`] for in-memory engines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn checkpoint(&mut self) -> Result<(), PersistError> {
+    /// See [`DedupEngine::checkpoint`].
+    fn checkpoint(&mut self) -> Result<(), PersistError> {
         if let Some(id) = self.containers.flush() {
             self.on_sealed(id);
         }
         self.write_snapshot_now()
     }
 
-    /// Flushes, snapshots and consumes the engine: after `close` returns,
-    /// [`Self::open`] on the same directory resumes bit-identically.
-    ///
-    /// A graceful close is also a **durability upgrade**: even under
-    /// [`crate::persist::FsyncPolicy::Never`], every container log, the
-    /// manifest journal, the snapshot and the directory entry are fsynced
-    /// once here — so a SHUTDOWN / Ctrl-C path that reaches `close` never
-    /// relies on crash recovery, regardless of the run-time fsync policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on write failure.
-    pub fn close(mut self) -> Result<(), PersistError> {
+    /// See [`DedupEngine::close`].
+    fn close(mut self) -> Result<(), PersistError> {
         self.checkpoint()?;
         self.sync_for_close()
     }
@@ -827,16 +738,10 @@ impl DedupEngine {
         let snapshot = Snapshot {
             event_seq: p.events,
             entry_bytes: self.config.entry_bytes,
-            index_shards: self.config.index_shards as u32,
             stats: self.stats.to_array(),
             loading_bytes: self.loading_bytes,
             loading_ops: self.loading_ops,
-            shard_counters: self
-                .index
-                .shard_stats()
-                .iter()
-                .map(|s| [s.lookups, s.lookup_bytes, s.updates, s.update_bytes])
-                .collect(),
+            index_counters: self.index.counters(),
             index_entries: self
                 .index
                 .sorted_entries()
@@ -858,23 +763,9 @@ impl DedupEngine {
         Ok(())
     }
 
-    /// Commits a backup: seals the open container (so every referenced
-    /// chunk is durable before the backup is), persists the recipe and the
-    /// manifest record, and takes a reference on each chunk occurrence.
-    ///
-    /// `id` must be unique across committed, undeleted backups (servers use
-    /// the client commit id, making retries detectable). `timestamp` is
-    /// caller-supplied logical time for retention policies.
-    ///
-    /// # Errors
-    ///
-    /// [`LifecycleError::DuplicateBackup`] when `id` is already committed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a persistent engine fails to write the recipe file or
-    /// manifest record (fail-stop, like the seal path).
-    pub fn commit_backup(
+    /// Commits this shard's slice of a backup (see
+    /// [`DedupEngine::commit_backup`]).
+    fn commit_backup(
         &mut self,
         id: u64,
         timestamp: u64,
@@ -905,21 +796,12 @@ impl DedupEngine {
         Ok(())
     }
 
-    /// Deletes a committed backup: releases its chunk references and
-    /// journals the deletion. Chunk data is reclaimed later by [`Self::gc`]
-    /// — deletion itself only moves bytes from *live* to *logically
-    /// deleted* in the stats.
-    ///
-    /// # Errors
-    ///
-    /// [`LifecycleError::UnknownBackup`] when `id` is not committed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a persistent engine fails to journal the deletion.
-    pub fn delete_backup(&mut self, id: u64) -> Result<DeleteReport, LifecycleError> {
+    /// Deletes this shard's slice of a backup (see
+    /// [`DedupEngine::delete_backup`]); `Ok(None)` when the shard does not
+    /// hold `id`.
+    fn delete_backup(&mut self, id: u64) -> Result<Option<DeleteReport>, PersistError> {
         let Some(recipe) = self.recipes.remove(&id) else {
-            return Err(LifecycleError::UnknownBackup { id });
+            return Ok(None);
         };
         let chunks_released = recipe.len() as u64;
         let logical_bytes = recipe.logical_bytes();
@@ -927,18 +809,17 @@ impl DedupEngine {
             // The journal record commits the deletion; removing the recipe
             // file afterwards is cleanup (recovery drops strays).
             p.manifest
-                .append_backup_delete(id, chunks_released as u32, logical_bytes)
-                .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"));
+                .append_backup_delete(id, chunks_released as u32, logical_bytes)?;
             p.events += 1;
             lifecycle::remove_recipe(&p.cfg.dir, id);
         }
         self.refcounts.release_recipe(&recipe.chunks);
         self.stats.deleted_chunks += chunks_released;
         self.stats.deleted_bytes += logical_bytes;
-        Ok(DeleteReport {
+        Ok(Some(DeleteReport {
             chunks_released,
             logical_bytes,
-        })
+        }))
     }
 
     /// Committed, undeleted backups as `(id, timestamp)`, sorted by id.
@@ -959,26 +840,8 @@ impl DedupEngine {
         self.recipes.get(&id)
     }
 
-    /// Backup ids a retention policy would delete, given the caller's
-    /// logical clock `now`.
-    #[must_use]
-    pub fn retention_victims(&self, policy: RetentionPolicy, now: u64) -> Vec<u64> {
-        policy.victims(&self.committed_backups(), now)
-    }
-
-    /// Garbage-collects containers whose live fraction (chunks still
-    /// referenced by a committed backup *and* owned in the index) is at or
-    /// below `live_threshold_permille` (0 = only fully dead containers,
-    /// 1000 = rewrite everything). Live chunks are copied into fresh
-    /// containers through the ordinary store path — every move is sealed
-    /// and manifest-committed *before* its source container is dropped, so
-    /// a crash at any point leaves either the pre-move or post-move state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a persistent engine fails a container, manifest or
-    /// directory write (fail-stop, like the seal path).
-    pub fn gc(&mut self, live_threshold_permille: u32) -> GcReport {
+    /// See [`DedupEngine::gc`].
+    fn gc(&mut self, live_threshold_permille: u32) -> GcReport {
         // Seal pending ingest so the scan sees only sealed containers.
         if let Some(cid) = self.containers.flush() {
             self.on_sealed(cid);
@@ -1097,29 +960,10 @@ impl DedupEngine {
         report
     }
 
-    /// REED-style rekeying to the next epoch (or the pending one after a
-    /// mid-rekey crash) under a fresh secret. See [`Self::rekey_to`].
-    pub fn rekey(&mut self, new_secret: &[u8]) -> RekeyReport {
-        let target = self.pending_rekey.unwrap_or(self.epoch + 1);
-        self.rekey_to(target, new_secret)
-    }
-
     /// Rewrites every live container under key epoch `target` derived from
-    /// `secret`, preserving dedup structure (fingerprints, index, stats are
-    /// untouched — only the at-rest wrapping changes). The sequence is
-    /// journaled: `REKEY_BEGIN`, per-container rewrite via a temp file +
-    /// atomic rename, then `REKEY_COMMIT`. After the commit, reads require
-    /// the new epoch's secret; a crash mid-rekey leaves a pending epoch
-    /// that [`Self::rekey`] resumes (idempotent — rewriting an
-    /// already-rewritten container is harmless).
-    ///
-    /// No-op when `target` does not advance the committed epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a persistent engine fails a rewrite, rename or manifest
-    /// append (fail-stop, like the seal path).
-    pub fn rekey_to(&mut self, target: u64, secret: &[u8]) -> RekeyReport {
+    /// `secret` (see [`DedupEngine::rekey`]). No-op when `target` does not
+    /// advance the committed epoch.
+    fn rekey_to(&mut self, target: u64, secret: &[u8]) -> RekeyReport {
         if target <= self.epoch {
             return RekeyReport {
                 epoch: self.epoch,
@@ -1253,6 +1097,406 @@ impl DedupEngine {
     }
 }
 
+/// The DDFS-like deduplication store: `N ≥ 1` fingerprint-prefix
+/// [`Shard`]s (see the [module docs](self) for the partition and its
+/// determinism argument).
+///
+/// # Example
+///
+/// ```
+/// use freqdedup_store::engine::{DedupConfig, DedupEngine};
+/// use freqdedup_trace::ChunkRecord;
+///
+/// let mut engine = DedupEngine::open(DedupConfig::paper(1 << 20, 1000)).unwrap();
+/// let a = engine.process(ChunkRecord::new(1u64, 4096));
+/// let b = engine.process(ChunkRecord::new(1u64, 4096));
+/// assert!(!a.is_duplicate());
+/// assert!(b.is_duplicate());
+/// engine.finish();
+/// assert_eq!(engine.stats().unique_chunks, 1);
+/// ```
+#[derive(Debug)]
+pub struct DedupEngine {
+    shards: Vec<Shard>,
+}
+
+impl DedupEngine {
+    /// Opens the paper's single-shard store ([`Self::open_sharded`] with
+    /// one shard). With [`DedupConfig::persist`] unset this is a pure
+    /// in-memory construction; with it set, the backing directory is
+    /// created on first use and **recovered** on every later open — the
+    /// engine resumes exactly where [`Self::close`] left it (or at the last
+    /// consistent sealed state after a crash).
+    ///
+    /// # Errors
+    ///
+    /// * [`PersistError::InvalidConfig`] — [`DedupConfig::validate`] failed;
+    /// * [`PersistError::ConfigMismatch`] — the directory was created under
+    ///   an incompatible configuration or shard count;
+    /// * [`PersistError::Corrupt`] / [`PersistError::Torn`] — the directory
+    ///   violates the recovery invariant beyond the tolerated torn tail;
+    /// * [`PersistError::Io`] — filesystem failure.
+    pub fn open(config: DedupConfig) -> Result<Self, PersistError> {
+        Self::open_sharded(config, 1)
+    }
+
+    /// Opens a store of `shards` fingerprint-prefix shards.
+    /// `config.bloom_expected` and `config.cache_entries` are *total*
+    /// budgets, divided across shards (rounded up).
+    ///
+    /// A durable store's layout is a function of the shard count: one
+    /// shard lives flat in the directory, more live in `shard-NNN/`
+    /// subdirectories below a *sharded* `store.meta` (a sharded root
+    /// written with one shard keeps its layout). Reopening deletes a
+    /// backup that a crash left on some shards but not all from the shards
+    /// holding it, through the journaled delete path: a torn commit rolls
+    /// back, a torn delete completes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::open`]; [`PersistError::InvalidConfig`] also when
+    /// `shards` is zero.
+    pub fn open_sharded(config: DedupConfig, shards: usize) -> Result<Self, PersistError> {
+        if shards == 0 {
+            return Err(PersistError::InvalidConfig(
+                "shard count must be positive".into(),
+            ));
+        }
+        let per_shard = DedupConfig {
+            bloom_expected: config.bloom_expected.div_ceil(shards as u64),
+            cache_entries: config.cache_entries.div_ceil(shards),
+            persist: None,
+            ..config.clone()
+        };
+        let Some(pcfg) = &config.persist else {
+            let shards = (0..shards)
+                .map(|_| Shard::open(per_shard.clone()))
+                .collect::<Result<_, _>>()?;
+            return Ok(DedupEngine { shards });
+        };
+        let sharded_root =
+            shards > 1 || persist::read_meta(&pcfg.dir).is_ok_and(|m| m.kind == MetaKind::Sharded);
+        if !sharded_root {
+            return Ok(DedupEngine {
+                shards: vec![Shard::open(config)?],
+            });
+        }
+        per_shard.validate().map_err(PersistError::InvalidConfig)?;
+        std::fs::create_dir_all(&pcfg.dir)?;
+        let meta = config.meta(MetaKind::Sharded, shards);
+        persist::ensure_meta(&pcfg.dir, &meta, pcfg.fsync, &pcfg.io)?;
+        let shards = (0..shards)
+            .map(|i| {
+                Shard::open(DedupConfig {
+                    persist: Some(PersistConfig {
+                        dir: pcfg.dir.join(format!("shard-{i:03}")),
+                        ..pcfg.clone()
+                    }),
+                    ..per_shard.clone()
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut engine = DedupEngine { shards };
+        engine.repair_torn_fanout()?;
+        Ok(engine)
+    }
+
+    /// Deletes every backup id that some but not all shards hold from the
+    /// shards that hold it.
+    fn repair_torn_fanout(&mut self) -> Result<(), PersistError> {
+        let mut holders: BTreeMap<u64, usize> = BTreeMap::new();
+        for shard in &self.shards {
+            for &id in shard.recipes.keys() {
+                *holders.entry(id).or_default() += 1;
+            }
+        }
+        for (id, held) in holders {
+            if held < self.shards.len() {
+                for shard in &mut self.shards {
+                    shard.delete_backup(id)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Splits `records` into per-shard streams, keeping stream order
+    /// within each shard.
+    fn partition(&self, records: &[ChunkRecord]) -> Vec<Vec<ChunkRecord>> {
+        let mut streams = vec![Vec::new(); self.shards.len()];
+        for &record in records {
+            streams[self.shard_of(record.fp)].push(record);
+        }
+        streams
+    }
+
+    /// Seals every shard and writes its snapshot now (a durable
+    /// checkpoint). No-op beyond [`Self::finish`] for in-memory engines.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's [`PersistError`] on write failure.
+    pub fn checkpoint(&mut self) -> Result<(), PersistError> {
+        self.shards.iter_mut().try_for_each(Shard::checkpoint)
+    }
+
+    /// Flushes, snapshots and consumes the engine: reopening the directory
+    /// resumes bit-identically.
+    ///
+    /// A graceful close is also a **durability upgrade**: even under
+    /// [`crate::persist::FsyncPolicy::Never`], every container log, the
+    /// manifest journal, the snapshot and the directory entry are fsynced
+    /// once here — so a SHUTDOWN / Ctrl-C path that reaches `close` never
+    /// relies on crash recovery, regardless of the run-time fsync policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's [`PersistError`] on write failure.
+    pub fn close(self) -> Result<(), PersistError> {
+        self.shards.into_iter().try_for_each(Shard::close)
+    }
+
+    /// The shard owning `fp` ([`Fingerprint::prefix_shard`]).
+    #[must_use]
+    pub fn shard_of(&self, fp: Fingerprint) -> usize {
+        fp.prefix_shard(self.shards.len())
+    }
+
+    /// Processes one chunk without payload on its owning shard
+    /// (trace-driven mode).
+    ///
+    /// # Panics
+    ///
+    /// On mixed-mode ingestion (see [`crate::container::PayloadMode`]) and,
+    /// for a persistent engine, when a container/manifest write fails.
+    pub fn process(&mut self, record: ChunkRecord) -> ChunkOutcome {
+        let shard = self.shard_of(record.fp);
+        self.shards[shard].process(record, None)
+    }
+
+    /// Processes one chunk storing its payload bytes on its owning shard
+    /// (content mode).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::process`]; debug-panics when `payload.len() !=
+    /// record.size`.
+    pub fn process_with_payload(&mut self, record: ChunkRecord, payload: &[u8]) -> ChunkOutcome {
+        let shard = self.shard_of(record.fp);
+        self.shards[shard].process(record, Some(payload))
+    }
+
+    /// Whether `fp` is stored at all — in its owning shard's sealed index
+    /// or still in that shard's open container.
+    #[must_use]
+    pub fn contains(&self, fp: Fingerprint) -> bool {
+        let shard = &self.shards[self.shard_of(fp)];
+        shard.index.peek(fp).is_some() || shard.containers.open_contains(fp)
+    }
+
+    /// Ingests a whole backup: the stream is partitioned by shard, then the
+    /// shards are drained by up to `par.resolve()` scoped workers, each
+    /// owning its shard exclusively. The resulting state is independent of
+    /// the thread count.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::process`].
+    pub fn ingest_backup(&mut self, backup: &Backup, par: ParConfig) {
+        let streams = self.partition(&backup.chunks);
+        let mut work: Vec<_> = self.shards.iter_mut().zip(streams).collect();
+        par::par_for_each_mut(par.resolve(), &mut work, |_, (shard, stream)| {
+            for &record in stream.iter() {
+                shard.process(record, None);
+            }
+        });
+    }
+
+    /// Seals every shard's open container and indexes its chunks (the
+    /// engine remains usable). This is also a durable shard's
+    /// interval-snapshot point ([`PersistConfig::snapshot_every_seals`]):
+    /// the first moment its open container is empty, which is what makes
+    /// the snapshot image consistent.
+    ///
+    /// # Panics
+    ///
+    /// When a persistent engine fails to write the container log, manifest
+    /// record or snapshot.
+    pub fn finish(&mut self) {
+        self.shards.iter_mut().for_each(Shard::finish);
+    }
+
+    /// Commits a backup: every shard seals its open container (so every
+    /// referenced chunk is durable before the backup is), then persists its
+    /// slice of the recipe (possibly empty) and the manifest record under
+    /// the same `id` and `timestamp`, taking a reference on each chunk
+    /// occurrence. `id` must be unique across committed, undeleted backups
+    /// (servers use the client commit id, making retries detectable);
+    /// `timestamp` is caller-supplied logical time for retention policies.
+    ///
+    /// # Errors
+    ///
+    /// [`LifecycleError::DuplicateBackup`] when `id` is already committed.
+    ///
+    /// # Panics
+    ///
+    /// When a persistent engine fails to write a recipe file or manifest
+    /// record (fail-stop, like the seal path; reopening rolls the partial
+    /// commit back).
+    pub fn commit_backup(
+        &mut self,
+        id: u64,
+        timestamp: u64,
+        chunks: &[ChunkRecord],
+    ) -> Result<(), LifecycleError> {
+        if self.shards[0].recipes.contains_key(&id) {
+            return Err(LifecycleError::DuplicateBackup { id });
+        }
+        let streams = self.partition(chunks);
+        for (shard, stream) in self.shards.iter_mut().zip(&streams) {
+            shard.commit_backup(id, timestamp, stream)?;
+        }
+        Ok(())
+    }
+
+    /// Deletes a committed backup on every shard: releases its chunk
+    /// references and journals the deletion. Chunk data is reclaimed later
+    /// by [`Self::gc`].
+    ///
+    /// # Errors
+    ///
+    /// [`LifecycleError::UnknownBackup`] when `id` is not committed.
+    ///
+    /// # Panics
+    ///
+    /// When a persistent engine fails to journal the deletion (reopening
+    /// completes the partial delete).
+    pub fn delete_backup(&mut self, id: u64) -> Result<DeleteReport, LifecycleError> {
+        if !self.shards[0].recipes.contains_key(&id) {
+            return Err(LifecycleError::UnknownBackup { id });
+        }
+        let mut merged = DeleteReport {
+            chunks_released: 0,
+            logical_bytes: 0,
+        };
+        for shard in &mut self.shards {
+            let r = shard
+                .delete_backup(id)
+                .unwrap_or_else(|e| panic!("persistent store: manifest append failed: {e}"))
+                .ok_or(LifecycleError::UnknownBackup { id })?;
+            merged.chunks_released += r.chunks_released;
+            merged.logical_bytes += r.logical_bytes;
+        }
+        Ok(merged)
+    }
+
+    /// Committed, undeleted backups as `(id, timestamp)`, sorted by id
+    /// (every shard holds the same set; shard 0 answers).
+    #[must_use]
+    pub fn committed_backups(&self) -> Vec<(u64, u64)> {
+        self.shards[0].committed_backups()
+    }
+
+    /// Backup ids a retention policy would delete, given the caller's
+    /// logical clock `now`.
+    #[must_use]
+    pub fn retention_victims(&self, policy: RetentionPolicy, now: u64) -> Vec<u64> {
+        policy.victims(&self.committed_backups(), now)
+    }
+
+    /// Garbage-collects every shard: containers whose live fraction (chunks
+    /// still referenced by a committed backup *and* owned in the index) is
+    /// at or below `live_threshold_permille` (0 = only fully dead
+    /// containers, 1000 = rewrite everything) have their live chunks
+    /// rewritten into fresh containers and are then dropped. Every move is
+    /// sealed and manifest-committed *before* its source container is
+    /// dropped, so a crash leaves either the pre-move or post-move state.
+    ///
+    /// # Panics
+    ///
+    /// When a persistent engine fails a container, manifest or directory
+    /// write (fail-stop, like the seal path).
+    pub fn gc(&mut self, live_threshold_permille: u32) -> GcReport {
+        let mut merged = GcReport::default();
+        for shard in &mut self.shards {
+            merged += shard.gc(live_threshold_permille);
+        }
+        merged
+    }
+
+    /// REED-style rekeying: every shard rewrites its live containers under
+    /// a fresh key epoch derived from `new_secret` (journaled
+    /// `REKEY_BEGIN`, temp file + atomic rename per container,
+    /// `REKEY_COMMIT`); dedup structure and stats are untouched, and reads
+    /// afterwards need the new epoch's secret. The target epoch converges
+    /// across shards: a pending epoch (crash mid-rekey) is resumed, shards
+    /// behind the furthest committed epoch (crash mid-fan-out) catch up,
+    /// and otherwise the store advances one epoch.
+    ///
+    /// # Panics
+    ///
+    /// When a persistent engine fails a rewrite, rename or manifest append
+    /// (fail-stop, like the seal path).
+    pub fn rekey(&mut self, new_secret: &[u8]) -> RekeyReport {
+        let committed = self.epoch();
+        let pending = self.shards.iter().filter_map(Shard::pending_rekey).max();
+        let lagging = self.shards.iter().any(|s| s.epoch() < committed);
+        let target = match pending {
+            Some(p) if p > committed => p,
+            _ if lagging => committed,
+            _ => committed + 1,
+        };
+        let mut rewritten = 0u64;
+        for shard in &mut self.shards {
+            rewritten += shard.rekey_to(target, new_secret).containers_rewritten;
+        }
+        RekeyReport {
+            epoch: target,
+            containers_rewritten: rewritten,
+        }
+    }
+
+    /// The committed key epoch (0 = unkeyed container logs): the furthest
+    /// any shard has committed.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.shards.iter().map(Shard::epoch).max().unwrap_or(0)
+    }
+
+    /// Deduplication counters summed across shards.
+    #[must_use]
+    pub fn stats(&self) -> StoreStats {
+        self.shards.iter().map(Shard::stats).sum()
+    }
+
+    /// Metadata access totals summed across shards (cumulative; subtract
+    /// snapshots for per-backup deltas).
+    #[must_use]
+    pub fn metadata_access(&self) -> MetadataAccess {
+        self.shards.iter().map(Shard::metadata_access).sum()
+    }
+
+    /// Container prefetch operations (S4 executions) summed across shards.
+    #[must_use]
+    pub fn loading_ops(&self) -> u64 {
+        self.shards.iter().map(Shard::loading_ops).sum()
+    }
+
+    /// Reads back a stored chunk's payload from its owning shard (content
+    /// mode only), borrowed straight from the container extent; `None` for
+    /// unknown fingerprints or metadata-only ingestion.
+    #[must_use]
+    pub fn read_chunk(&self, fp: Fingerprint) -> Option<&[u8]> {
+        self.shards[self.shard_of(fp)].read_chunk(fp)
+    }
+
+    /// The shards, in shard order (inspection).
+    #[must_use]
+    pub fn shards(&self) -> &[Shard] {
+        &self.shards
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1270,13 +1514,12 @@ mod tests {
             entry_bytes: 32,
             bloom_expected: 10_000,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         }
     }
 
     fn small_engine(cache_entries: usize) -> DedupEngine {
-        DedupEngine::new(small_config(cache_entries)).unwrap()
+        DedupEngine::open(small_config(cache_entries)).unwrap()
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1367,13 +1610,12 @@ mod tests {
 
     #[test]
     fn payload_round_trip_through_engine() {
-        let mut e = DedupEngine::new(DedupConfig {
+        let mut e = DedupEngine::open(DedupConfig {
             container_bytes: 32,
             cache_entries: 8,
             entry_bytes: 32,
             bloom_expected: 100,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
@@ -1399,7 +1641,7 @@ mod tests {
     fn ingest_backup_convenience() {
         let mut e = small_engine(16);
         let b = Backup::from_chunks("b", vec![rec(1, 8), rec(2, 8), rec(1, 8)]);
-        e.ingest_backup(&b);
+        e.ingest_backup(&b, ParConfig::sequential());
         assert_eq!(e.stats().logical_chunks, 3);
         assert_eq!(e.stats().unique_chunks, 2);
     }
@@ -1423,12 +1665,12 @@ mod tests {
             container_bytes: 0,
             ..DedupConfig::default()
         };
-        assert!(DedupEngine::new(c).is_err());
+        assert!(DedupEngine::open(c).is_err());
         let c = DedupConfig {
             bloom_fp_rate: 0.0,
             ..DedupConfig::default()
         };
-        assert!(DedupEngine::new(c).is_err());
+        assert!(DedupEngine::open(c).is_err());
     }
 
     #[test]
@@ -1438,13 +1680,12 @@ mod tests {
         // lookups; shuffled access defeats the prefetch only when the cache
         // is too small to hold everything — here we check the sequential
         // case enjoys cache hits.
-        let mut e = DedupEngine::new(DedupConfig {
+        let mut e = DedupEngine::open(DedupConfig {
             container_bytes: 1024,
             cache_entries: 1024,
             entry_bytes: 32,
             bloom_expected: 10_000,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
@@ -1469,7 +1710,7 @@ mod tests {
             .collect();
 
         // Reference: an engine that never restarts.
-        let mut live = DedupEngine::new(small_config(16)).unwrap();
+        let mut live = DedupEngine::open(small_config(16)).unwrap();
         for &r in &stream {
             live.process(r);
         }
@@ -1496,11 +1737,9 @@ mod tests {
         assert_eq!(reopened.stats(), want_stats);
         assert_eq!(reopened.stats(), live.stats());
         assert_eq!(reopened.metadata_access(), live.metadata_access());
-        assert_eq!(
-            reopened.index().sorted_entries(),
-            live.index().sorted_entries()
-        );
-        assert_eq!(reopened.cache().lru_to_mru(), live.cache().lru_to_mru());
+        let (r, l) = (&reopened.shards()[0], &live.shards()[0]);
+        assert_eq!(r.index().sorted_entries(), l.index().sorted_entries());
+        assert_eq!(r.cache().lru_to_mru(), l.cache().lru_to_mru());
 
         // Subsequent ingest behaves identically on both.
         for &r in &stream {
@@ -1557,8 +1796,141 @@ mod tests {
         assert_eq!(r.stats().containers_sealed, 2);
         assert_eq!(r.stats().unique_chunks, 8);
         assert_eq!(r.stats().unique_bytes, 8 * 16);
-        assert_eq!(r.index().len(), 8);
-        assert_eq!(r.containers().sealed_count(), 2);
+        assert_eq!(r.shards()[0].index().len(), 8);
+        assert_eq!(r.shards()[0].containers().sealed_count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+    fn sharded_config() -> DedupConfig {
+        DedupConfig {
+            container_bytes: 256,
+            cache_entries: 64,
+            ..small_config(0)
+        }
+    }
+
+    /// A spread-out fingerprint stream with duplicates (multiplicative
+    /// hashing scatters values across the whole u64 space, so every shard
+    /// gets traffic).
+    fn spread_stream(n: u64) -> Vec<ChunkRecord> {
+        (0..n)
+            .map(|i| rec((i % (n / 3).max(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
+            .collect()
+    }
+
+    #[test]
+    fn routing_is_stable_and_exhaustive() {
+        let e = DedupEngine::open_sharded(sharded_config(), 4).unwrap();
+        assert_eq!(e.shards().len(), 4);
+        for v in [0u64, 1, 1 << 62, 1 << 63, u64::MAX] {
+            let s = e.shard_of(Fingerprint(v));
+            assert!(s < 4);
+            assert_eq!(s, e.shard_of(Fingerprint(v)));
+        }
+    }
+
+    #[test]
+    fn totals_do_not_depend_on_shard_count() {
+        // logical / unique / duplicate totals are partition-invariant.
+        let backup = Backup::from_chunks("b", spread_stream(900));
+        let totals = |shards| {
+            let mut e = DedupEngine::open_sharded(sharded_config(), shards).unwrap();
+            e.ingest_backup(&backup, ParConfig::sequential());
+            e.finish();
+            let s = e.stats();
+            let dups = s.duplicates();
+            (
+                s.logical_chunks,
+                s.logical_bytes,
+                s.unique_chunks,
+                s.unique_bytes,
+                dups,
+            )
+        };
+        assert_eq!(totals(1), totals(4));
+    }
+
+    #[test]
+    fn thread_count_does_not_change_state() {
+        let backup = Backup::from_chunks("b", spread_stream(1200));
+        let mut reference: Option<(StoreStats, MetadataAccess, u64)> = None;
+        for threads in [1usize, 2, 4, 8] {
+            let mut e = DedupEngine::open_sharded(sharded_config(), 4).unwrap();
+            e.ingest_backup(&backup, ParConfig::with_threads(threads));
+            e.finish();
+            let got = (e.stats(), e.metadata_access(), e.loading_ops());
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => assert_eq!(&got, want, "threads {threads}"),
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_ingest_equals_sequential_routing() {
+        let records = spread_stream(600);
+        let backup = Backup::from_chunks("b", records.clone());
+
+        let mut routed = DedupEngine::open_sharded(sharded_config(), 3).unwrap();
+        for &r in &records {
+            routed.process(r);
+        }
+        routed.finish();
+
+        let mut parallel = DedupEngine::open_sharded(sharded_config(), 3).unwrap();
+        parallel.ingest_backup(&backup, ParConfig::with_threads(3));
+        parallel.finish();
+
+        assert_eq!(routed.stats(), parallel.stats());
+        assert_eq!(routed.metadata_access(), parallel.metadata_access());
+    }
+
+    #[test]
+    fn outcome_semantics_preserved_per_shard() {
+        let mut e = DedupEngine::open_sharded(sharded_config(), 2).unwrap();
+        assert_eq!(e.process(rec(7, 16)), ChunkOutcome::Unique);
+        assert_eq!(e.process(rec(7, 16)), ChunkOutcome::DuplicateBuffer);
+        e.finish();
+        assert_eq!(e.process(rec(7, 16)), ChunkOutcome::DuplicateIndex);
+        assert_eq!(e.process(rec(7, 16)), ChunkOutcome::DuplicateCache);
+    }
+
+    #[test]
+    fn payload_process_reads_and_contains_route_to_owning_shard() {
+        let mut e = DedupEngine::open_sharded(sharded_config(), 4).unwrap();
+        let a = Fingerprint(3);
+        let b = Fingerprint(u64::MAX / 3);
+        assert_ne!(e.shard_of(a), e.shard_of(b));
+        assert_eq!(
+            e.process_with_payload(rec(a.value(), 5), b"alpha"),
+            ChunkOutcome::Unique
+        );
+        assert_eq!(
+            e.process_with_payload(rec(b.value(), 4), b"beta"),
+            ChunkOutcome::Unique
+        );
+        assert!(e
+            .process_with_payload(rec(a.value(), 5), b"alpha")
+            .is_duplicate());
+        assert!(e.contains(a) && e.contains(b));
+        assert!(!e.contains(Fingerprint(77)));
+        assert_eq!(e.read_chunk(a), Some(&b"alpha"[..]));
+        e.finish();
+        assert!(e.contains(a), "contains must survive sealing");
+        assert_eq!(e.read_chunk(b), Some(&b"beta"[..]));
+        assert_eq!(e.read_chunk(Fingerprint(999_999)), None);
+    }
+
+    #[test]
+    fn zero_shards_rejected() {
+        assert!(DedupEngine::open_sharded(sharded_config(), 0).is_err());
+    }
+
+    #[test]
+    fn memory_budgets_divided_across_shards() {
+        let e = DedupEngine::open_sharded(sharded_config(), 4).unwrap();
+        for shard in e.shards() {
+            assert_eq!(shard.config().bloom_expected, 2500);
+            assert_eq!(shard.config().cache_entries, 16);
+        }
     }
 }

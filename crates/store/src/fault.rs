@@ -118,10 +118,9 @@ pub trait IoPolicy: Send {
 /// The default (empty) handle is what every production
 /// [`PersistConfig`](crate::persist::PersistConfig) carries: each durable
 /// operation then costs a single `Option::is_none` branch. Clones share
-/// the same underlying policy, so a
-/// [`ShardedDedupEngine`](crate::sharded::ShardedDedupEngine) threading
-/// one config into N shard directories drives all shards from one
-/// schedule.
+/// the same underlying policy, so a multi-shard
+/// [`DedupEngine`](crate::engine::DedupEngine) threading one config into N
+/// shard directories drives all shards from one schedule.
 #[derive(Clone, Default)]
 pub struct IoPolicyHandle {
     inner: Option<Arc<Mutex<Box<dyn IoPolicy>>>>,

@@ -15,12 +15,13 @@
 //!
 //! [`engine::DedupEngine`] wires these together with the exact S1→S4
 //! workflow of §7.4.1 and produces the update / index / loading
-//! metadata-access breakdown of Figures 13–14.
-//! [`sharded::ShardedDedupEngine`] partitions the fingerprint space into
-//! prefix shards — one full engine each — for shard-parallel ingest with
-//! merged counters.
+//! metadata-access breakdown of Figures 13–14. It holds `N ≥ 1`
+//! fingerprint-prefix [shards](engine::Shard) — one full DDFS engine each,
+//! `N = 1` being the paper's single store — for shard-parallel ingest with
+//! summed counters. ([`sharded`] keeps only a constructor shim under the
+//! former multi-shard type name.)
 //!
-//! Both engines can be **durable**: with [`persist::PersistConfig`] set on
+//! The engine can be **durable**: with [`persist::PersistConfig`] set on
 //! the configuration, sealed containers are written to append-only [log
 //! files](log), committed through a write-ahead [manifest journal +
 //! snapshot](manifest), and recovered on reopen — bit-identically after a

@@ -521,16 +521,18 @@ pub struct Snapshot {
     pub event_seq: u64,
     /// Config echo: metadata entry size.
     pub entry_bytes: u64,
-    /// Config echo: fingerprint-index prefix shards.
-    pub index_shards: u32,
     /// [`crate::stats::StoreStats`] as its canonical array form.
     pub stats: [u64; 13],
     /// Engine-level container-prefetch byte counter.
     pub loading_bytes: u64,
     /// Engine-level container-prefetch op counter.
     pub loading_ops: u64,
-    /// Per-index-shard `(lookups, lookup_bytes, updates, update_bytes)`.
-    pub shard_counters: Vec<[u64; 4]>,
+    /// Index access counters `[lookups, lookup_bytes, updates,
+    /// update_bytes]`. On disk this is a list of per-index-shard rows
+    /// behind an `index_shards` echo: written as one row under
+    /// `index_shards = 1`, read back as the sum of however many rows a
+    /// store written with an inner-sharded index carries.
+    pub index_counters: [u64; 4],
     /// Fingerprint → container id entries, sorted by fingerprint.
     pub index_entries: Vec<(u64, u32)>,
     /// Cache hit counter.
@@ -579,17 +581,15 @@ pub fn write_snapshot(
     w.write_u16(SNAPSHOT_VERSION)?;
     w.write_u64(snapshot.event_seq)?;
     w.write_u64(snapshot.entry_bytes)?;
-    w.write_u32(snapshot.index_shards)?;
+    w.write_u32(1)?; // index_shards
     for &v in &snapshot.stats {
         w.write_u64(v)?;
     }
     w.write_u64(snapshot.loading_bytes)?;
     w.write_u64(snapshot.loading_ops)?;
-    w.write_u32(snapshot.shard_counters.len() as u32)?;
-    for counters in &snapshot.shard_counters {
-        for &v in counters {
-            w.write_u64(v)?;
-        }
+    w.write_u32(1)?; // counter rows
+    for &v in &snapshot.index_counters {
+        w.write_u64(v)?;
     }
     w.write_u64(snapshot.index_entries.len() as u64)?;
     for &(fp, cid) in &snapshot.index_entries {
@@ -651,9 +651,9 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, PersistError> {
     let mut snapshot = Snapshot {
         event_seq: r.read_u64("event_seq")?,
         entry_bytes: r.read_u64("entry_bytes")?,
-        index_shards: r.read_u32("index_shards")?,
         ..Snapshot::default()
     };
+    r.read_u32("index_shards")?;
     for v in &mut snapshot.stats {
         *v = r.read_u64("stats")?;
     }
@@ -665,16 +665,11 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, PersistError> {
             "index.snap: absurd shard count {nshards}"
         )));
     }
-    snapshot.shard_counters = (0..nshards)
-        .map(|_| -> Result<[u64; 4], PersistError> {
-            Ok([
-                r.read_u64("shard lookups")?,
-                r.read_u64("shard lookup bytes")?,
-                r.read_u64("shard updates")?,
-                r.read_u64("shard update bytes")?,
-            ])
-        })
-        .collect::<Result<_, _>>()?;
+    for _ in 0..nshards {
+        for total in &mut snapshot.index_counters {
+            *total += r.read_u64("index counters")?;
+        }
+    }
     let entries = r.read_u64("index entry count")?;
     if entries > 1 << 40 {
         return Err(PersistError::Corrupt(format!(
@@ -860,11 +855,10 @@ mod tests {
         let snapshot = Snapshot {
             event_seq: 3,
             entry_bytes: 32,
-            index_shards: 2,
             stats: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
             loading_bytes: 10,
             loading_ops: 11,
-            shard_counters: vec![[1, 32, 2, 64], [3, 96, 4, 128]],
+            index_counters: [4, 128, 6, 192],
             index_entries: vec![(5, 0), (9, 1), (u64::MAX, 2)],
             cache_hits: 12,
             cache_misses: 13,

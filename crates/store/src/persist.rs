@@ -2,7 +2,7 @@
 //! and the little-endian framing helpers shared by the [container
 //! log](crate::log) and the [manifest journal + snapshot](crate::manifest).
 //!
-//! The on-disk layout of a persistent engine directory is:
+//! The on-disk layout of one persistent [shard](crate::engine::Shard) is:
 //!
 //! ```text
 //! <dir>/store.meta            fixed-size config echo (magic FQSM + CRC)
@@ -11,9 +11,10 @@
 //! <dir>/container-NNNNNNNN.clog   one file per sealed container
 //! ```
 //!
-//! A [`crate::sharded::ShardedDedupEngine`] directory holds a `store.meta`
-//! of kind *sharded* plus one engine directory per prefix shard
-//! (`shard-NNN/`). All integers are little-endian; every file carries a
+//! The layout of a [`crate::engine::DedupEngine`] is a function of its
+//! shard count alone: one shard lives flat in the store directory; more
+//! live in `shard-NNN/` subdirectories below a `store.meta` of kind
+//! *sharded*. All integers are little-endian; every file carries a
 //! magic, a version, and a trailing CRC-32 (IEEE) so truncation and
 //! corruption are detectable. See `DESIGN.md` §7 for the recovery
 //! invariant.
@@ -357,28 +358,30 @@ const META_MAGIC: &[u8; 4] = b"FQSM";
 const META_VERSION: u16 = 1;
 pub(crate) const META_FILE: &str = "store.meta";
 
-/// What kind of engine owns a persistence directory.
+/// What a persistence directory holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetaKind {
-    /// A single [`crate::engine::DedupEngine`].
+    /// One [`crate::engine::Shard`], laid out flat.
     Engine,
-    /// A [`crate::sharded::ShardedDedupEngine`] root (shard subdirectories
-    /// below it each carry an `Engine` meta of their own).
+    /// The root of a multi-shard [`crate::engine::DedupEngine`] (shard
+    /// subdirectories below it each carry an `Engine` meta of their own).
     Sharded,
 }
 
 /// The configuration echo stored in `store.meta`, validated on reopen so a
 /// directory cannot silently be opened under an incompatible configuration.
+///
+/// The file also carries an `index_shards` field from when the fingerprint
+/// index was prefix-sharded inside each shard: it is written as 1 and
+/// ignored on read, since the index counters are summed either way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreMeta {
     /// Directory kind.
     pub kind: MetaKind,
-    /// Shard count (1 for a plain engine).
+    /// Shard count (1 for a flat shard directory).
     pub shards: u32,
     /// Configured metadata entry size in bytes.
     pub entry_bytes: u64,
-    /// Configured fingerprint-index prefix shards.
-    pub index_shards: u32,
     /// Configured container capacity in bytes.
     pub container_bytes: u64,
 }
@@ -404,7 +407,7 @@ pub(crate) fn write_meta(
     })?;
     w.write_u32(meta.shards)?;
     w.write_u64(meta.entry_bytes)?;
-    w.write_u32(meta.index_shards)?;
+    w.write_u32(1)?; // index_shards
     w.write_u64(meta.container_bytes)?;
     let mut buf = w.finish()?;
     buf.flush()?;
@@ -466,14 +469,13 @@ pub(crate) fn read_meta(dir: &Path) -> Result<StoreMeta, PersistError> {
     };
     let shards = r.read_u32("shards")?;
     let entry_bytes = r.read_u64("entry_bytes")?;
-    let index_shards = r.read_u32("index_shards")?;
+    r.read_u32("index_shards")?;
     let container_bytes = r.read_u64("container_bytes")?;
     r.expect_crc()?;
     Ok(StoreMeta {
         kind,
         shards,
         entry_bytes,
-        index_shards,
         container_bytes,
     })
 }
@@ -499,7 +501,6 @@ mod tests {
             kind: MetaKind::Sharded,
             shards: 4,
             entry_bytes: 32,
-            index_shards: 2,
             container_bytes: 4096,
         };
         write_meta(&dir, &meta, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
@@ -514,7 +515,6 @@ mod tests {
             kind: MetaKind::Engine,
             shards: 1,
             entry_bytes: 32,
-            index_shards: 1,
             container_bytes: 64,
         };
         write_meta(&dir, &meta, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();

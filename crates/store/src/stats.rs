@@ -1,7 +1,7 @@
 //! Storage and metadata-access statistics (the measurands of Figs. 11/13/14).
 //!
 //! Both record types are closed under component-wise addition ([`Add`] /
-//! [`AddAssign`] / [`Sum`]): the sharded engine merges its per-shard
+//! [`AddAssign`] / [`Sum`]): a multi-shard engine merges its per-shard
 //! counters into one aggregate record with plain `+`.
 
 use std::iter::Sum;

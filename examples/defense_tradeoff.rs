@@ -11,6 +11,7 @@ use freqdedup::core::metrics;
 use freqdedup::datasets::fsl::{generate, FslConfig};
 use freqdedup::mle::trace_enc::DeterministicTraceEncryptor;
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
+use freqdedup::trace::par::ParConfig;
 use freqdedup::trace::stats::DedupAccumulator;
 use freqdedup::trace::BackupSeries;
 
@@ -55,9 +56,9 @@ fn metadata_bytes(series: &BackupSeries, scheme: Option<&MinHashScrambleScheme>)
         Some(s) => s.encrypt_series(series).0,
         None => series.clone(),
     };
-    let mut engine = DedupEngine::new(DedupConfig::paper(2 * 1024 * 1024, 400_000)).unwrap();
+    let mut engine = DedupEngine::open(DedupConfig::paper(2 * 1024 * 1024, 400_000)).unwrap();
     for b in &stream {
-        engine.ingest_backup(b);
+        engine.ingest_backup(b, ParConfig::sequential());
     }
     engine.finish();
     engine.metadata_access().total_bytes()

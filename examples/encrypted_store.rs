@@ -92,7 +92,7 @@ fn main() {
     // the open container and snapshots the index; `open()` replays the
     // manifest journal and resumes exactly where the old process stopped.
     let stats_before = engine.stats();
-    let containers_before = engine.containers().sealed_count();
+    let containers_before = engine.shards()[0].containers().sealed_count();
     engine.close().unwrap();
     let engine = DedupEngine::open(config).unwrap();
     assert_eq!(engine.stats(), stats_before);

@@ -47,6 +47,7 @@ use freqdedup::server::proto::ServerStats;
 use freqdedup::server::server::{Server, ServerConfig};
 use freqdedup::server::tap::{AppliedCommit, TapStreaming};
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
+use freqdedup::store::fault::{CountingPolicy, FailAt, FailMode, PersistSite, ALL_SITES};
 use freqdedup::store::persist::{FsyncPolicy, PersistConfig, PersistError};
 use freqdedup::trace::{Backup, ChunkRecord};
 
@@ -390,70 +391,48 @@ fn seeded_network_chaos_has_no_third_outcome() {
 // Crash-point matrix: every persist site, both failure modes
 // ---------------------------------------------------------------------------
 
-/// Kills a durable engine at every [`PersistSite`] × `{Error, Torn}` ×
-/// `{first, middle}` occurrence and asserts recovery lands on the
-/// sealed-prefix reference (or a typed refusal for the two store-birth
-/// sites whose directory was never a valid store).
-#[test]
-fn crash_point_matrix_recovers_at_every_persist_site() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::Ordering;
-
-    use freqdedup::store::fault::{CountingPolicy, FailAt, FailMode, PersistSite, ALL_SITES};
-
-    let dir = test_dir("crash-matrix");
-    // 16-byte chunks, 256-byte containers → 16 chunks per container,
-    // 96 chunks = 6 full containers (computable sealed prefix).
-    let records: Vec<ChunkRecord> = (0..96u64)
+/// 96 unique 16-byte chunks; with [`small_store`]'s 256-byte containers,
+/// 16 chunks per container and 6 full containers (a computable sealed
+/// prefix).
+fn crash_records() -> Vec<ChunkRecord> {
+    (0..96u64)
         .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
-    let small = || DedupConfig {
+        .collect()
+}
+
+fn small_store(persist: Option<PersistConfig>) -> DedupConfig {
+    DedupConfig {
         container_bytes: 256,
         cache_entries: 64,
         entry_bytes: 32,
         bloom_expected: 100_000,
         bloom_fp_rate: 0.01,
-        index_shards: 2,
-        persist: None,
-    };
-    let clean = |run_dir: &PathBuf| DedupConfig {
-        persist: Some(PersistConfig::new(run_dir).fsync(FsyncPolicy::Never)),
-        ..small()
-    };
+        persist,
+    }
+}
 
-    // Probe: per-site operation counts for this exact workload.
+/// The crash-matrix harness: probes `workload` for its per-site operation
+/// counts, then reruns it killed at every site of `sites` × `{Error,
+/// Torn}` × `{first, middle}` occurrence, each in its own directory.
+/// Every run must fail (a typed error or a reported panic are both clean;
+/// outright success means the fault never bit); `check` then gets the
+/// site, a tag and the run directory to assert recovery.
+fn crash_matrix(
+    dir: &Path,
+    sites: impl IntoIterator<Item = PersistSite>,
+    workload: impl Fn(PersistConfig) -> Result<(), PersistError>,
+    mut check: impl FnMut(PersistSite, &str, &PathBuf),
+) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::Ordering;
+
     let counting = CountingPolicy::new();
     let counts = counting.counts();
-    {
-        let cfg = DedupConfig {
-            persist: Some(
-                PersistConfig::new(dir.join("probe"))
-                    .fsync(FsyncPolicy::Always)
-                    .io_policy(counting),
-            ),
-            ..small()
-        };
-        let mut probe = DedupEngine::open(cfg).unwrap();
-        for &r in &records {
-            probe.process(r);
-        }
-        probe.close().unwrap();
-    }
+    let probe = PersistConfig::new(dir.join("probe")).fsync(FsyncPolicy::Always);
+    workload(probe.io_policy(counting)).unwrap();
     let counts = counts.lock().unwrap().clone();
 
-    for site in ALL_SITES {
-        // The recipe/rekey sites are only reached by lifecycle operations;
-        // they get their own matrix below with a churn workload.
-        if matches!(
-            site,
-            PersistSite::RecipeWrite
-                | PersistSite::RecipeSync
-                | PersistSite::RekeyWrite
-                | PersistSite::RekeySync
-                | PersistSite::RekeyRename
-        ) {
-            continue;
-        }
+    for site in sites {
         let n = *counts.get(&site).unwrap_or(&0);
         assert!(n > 0, "probe run never hit {site:?}");
         for mode in [FailMode::Error, FailMode::Torn] {
@@ -464,73 +443,95 @@ fn crash_point_matrix_recovers_at_every_persist_site() {
                 let run_dir = dir.join(&tag);
                 let fail = FailAt::new(site, k, mode);
                 let fired = fail.fired();
-                let cfg = DedupConfig {
-                    persist: Some(
-                        PersistConfig::new(&run_dir)
-                            .fsync(FsyncPolicy::Always)
-                            .io_policy(fail),
-                    ),
-                    ..small()
-                };
-
-                let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), PersistError> {
-                    let mut engine = DedupEngine::open(cfg)?;
-                    for &r in &records {
-                        engine.process(r);
-                    }
-                    engine.close()
-                }));
+                let pcfg = PersistConfig::new(&run_dir).fsync(FsyncPolicy::Always);
+                let outcome = catch_unwind(AssertUnwindSafe(|| workload(pcfg.io_policy(fail))));
                 assert!(fired.load(Ordering::SeqCst), "{tag}: fault never fired");
-                // A typed error or a reported panic are both clean; outright
-                // success means the fault never bit.
                 if let Ok(Ok(())) = outcome {
                     panic!("{tag}: succeeded despite the injected fault");
                 }
-
-                match DedupEngine::open(clean(&run_dir)) {
-                    Ok(recovered) => {
-                        let sealed = recovered.containers().sealed_count();
-                        assert!(sealed <= 6, "{tag}: {sealed} sealed");
-                        assert_eq!(
-                            recovered.stats().unique_chunks,
-                            (sealed * 16) as u64,
-                            "{tag}"
-                        );
-                        let mut reference = DedupEngine::new(small()).unwrap();
-                        for &r in &records[..sealed * 16] {
-                            reference.process(r);
-                        }
-                        reference.finish();
-                        assert_eq!(
-                            recovered.index().sorted_entries(),
-                            reference.index().sorted_entries(),
-                            "{tag}: index equals the sealed-prefix reference"
-                        );
-                        // The store keeps working durably after recovery.
-                        let mut recovered = recovered;
-                        for &r in &records[sealed * 16..] {
-                            recovered.process(r);
-                        }
-                        recovered.close().unwrap();
-                        let after = DedupEngine::open(clean(&run_dir)).unwrap();
-                        assert_eq!(after.stats().unique_chunks, 96, "{tag}");
-                    }
-                    Err(e) => {
-                        // Only the store-birth sites may leave a directory
-                        // that was never a valid store; the refusal is
-                        // typed, and wiping it restores service.
-                        assert!(
-                            matches!(site, PersistSite::MetaWrite | PersistSite::ManifestHeader),
-                            "{tag}: recovery failed at a non-birth site: {e}"
-                        );
-                        std::fs::remove_dir_all(&run_dir).unwrap();
-                        let fresh = DedupEngine::open(clean(&run_dir)).unwrap();
-                        assert_eq!(fresh.containers().sealed_count(), 0, "{tag}");
-                    }
-                }
+                check(site, &tag, &run_dir);
             }
         }
     }
+}
+
+/// Only the store-birth sites may leave a directory that was never a
+/// valid store; the refusal to open it is typed.
+fn assert_birth_site(site: PersistSite, tag: &str, e: &PersistError) {
+    assert!(
+        matches!(site, PersistSite::MetaWrite | PersistSite::ManifestHeader),
+        "{tag}: recovery failed at a non-birth site: {e}"
+    );
+}
+
+/// Kills a durable engine at every [`PersistSite`] × `{Error, Torn}` ×
+/// `{first, middle}` occurrence and asserts recovery lands on the
+/// sealed-prefix reference (or a typed refusal for the two store-birth
+/// sites whose directory was never a valid store).
+#[test]
+fn crash_point_matrix_recovers_at_every_persist_site() {
+    let dir = test_dir("crash-matrix");
+    let records = crash_records();
+    let clean = |run_dir: &PathBuf| {
+        small_store(Some(PersistConfig::new(run_dir).fsync(FsyncPolicy::Never)))
+    };
+    // The recipe/rekey sites are only reached by lifecycle operations;
+    // they get their own matrix below with a churn workload.
+    let sites = ALL_SITES.into_iter().filter(|site| {
+        !matches!(
+            site,
+            PersistSite::RecipeWrite
+                | PersistSite::RecipeSync
+                | PersistSite::RekeyWrite
+                | PersistSite::RekeySync
+                | PersistSite::RekeyRename
+        )
+    });
+    let workload = |pcfg: PersistConfig| -> Result<(), PersistError> {
+        let mut engine = DedupEngine::open(small_store(Some(pcfg)))?;
+        for &r in &records {
+            engine.process(r);
+        }
+        engine.close()
+    };
+
+    crash_matrix(&dir, sites, workload, |site, tag, run_dir| {
+        match DedupEngine::open(clean(run_dir)) {
+            Ok(mut recovered) => {
+                let sealed = recovered.shards()[0].containers().sealed_count();
+                assert!(sealed <= 6, "{tag}: {sealed} sealed");
+                assert_eq!(
+                    recovered.stats().unique_chunks,
+                    (sealed * 16) as u64,
+                    "{tag}"
+                );
+                let mut reference = DedupEngine::open(small_store(None)).unwrap();
+                for &r in &records[..sealed * 16] {
+                    reference.process(r);
+                }
+                reference.finish();
+                assert_eq!(
+                    recovered.shards()[0].index().sorted_entries(),
+                    reference.shards()[0].index().sorted_entries(),
+                    "{tag}: index equals the sealed-prefix reference"
+                );
+                // The store keeps working durably after recovery.
+                for &r in &records[sealed * 16..] {
+                    recovered.process(r);
+                }
+                recovered.close().unwrap();
+                let after = DedupEngine::open(clean(run_dir)).unwrap();
+                assert_eq!(after.stats().unique_chunks, 96, "{tag}");
+            }
+            Err(e) => {
+                // Wiping a never-valid directory restores service.
+                assert_birth_site(site, tag, &e);
+                std::fs::remove_dir_all(run_dir).unwrap();
+                let fresh = DedupEngine::open(clean(run_dir)).unwrap();
+                assert_eq!(fresh.shards()[0].containers().sealed_count(), 0, "{tag}");
+            }
+        }
+    });
     done(&dir);
 }
 
@@ -550,11 +551,14 @@ fn chunk_bytes(fp: u64, size: u32) -> Vec<u8> {
 const CHAOS_EPOCH_SECRET: &[u8] = b"chaos-epoch-one";
 
 /// Every committed backup must restore byte-identically — no chunk a
-/// committed recipe references may dangle, whatever the crash point was.
-fn assert_backups_restorable(engine: &freqdedup::store::engine::DedupEngine, tag: &str) {
+/// committed recipe (each shard holds its slice) references may dangle,
+/// whatever the crash point was.
+fn assert_backups_restorable(engine: &DedupEngine, tag: &str) {
     for (id, _ts) in engine.committed_backups() {
-        let recipe = engine.backup_recipe(id).expect("listed backup").clone();
-        for c in &recipe.chunks {
+        for c in engine.shards().iter().flat_map(|s| {
+            let recipe = s.backup_recipe(id).expect("listed backup on every shard");
+            recipe.chunks.clone()
+        }) {
             let got = engine
                 .read_chunk(c.fp)
                 .unwrap_or_else(|| panic!("{tag}: backup {id} chunk {:?} dangles", c.fp));
@@ -568,135 +572,74 @@ fn assert_backups_restorable(engine: &freqdedup::store::engine::DedupEngine, tag
     }
 }
 
-/// Kills a durable engine running a churn workload — two overlapping
-/// backup commits, a deletion, GC and a rekey — at every [`PersistSite`]
-/// × `{Error, Torn}` × `{first, middle}` occurrence, then asserts the
-/// reopened store is *consistent*: every surviving committed backup
-/// restores byte-identically (never a dangling chunk reference), and the
+/// Kills a durable engine of one and of two shards running a churn
+/// workload — two overlapping backup commits, a deletion, GC and a rekey
+/// — at every [`PersistSite`] × `{Error, Torn}` × `{first, middle}`
+/// occurrence, then asserts the reopened store is *consistent*: every
+/// surviving committed backup restores byte-identically (never a dangling
+/// chunk reference, never a backup torn across shards), and the
 /// interrupted lifecycle step can be re-run to completion.
 #[test]
 fn lifecycle_crash_matrix_recovers_at_every_persist_site() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::Ordering;
-
-    use freqdedup::store::fault::{CountingPolicy, FailAt, FailMode, PersistSite, ALL_SITES};
-
     let dir = test_dir("lifecycle-crash");
-    // 96 unique 16-byte chunks, 256-byte containers → 6 full containers.
     // Backup 1 owns chunks 0..64, backup 2 owns 32..96; deleting backup 1
     // makes containers 0 and 1 fully dead (GC drops them) while 2 and 3
     // stay fully live (GC keeps them).
-    let records: Vec<ChunkRecord> = (0..96u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
-    let small = || DedupConfig {
-        container_bytes: 256,
-        cache_entries: 64,
-        entry_bytes: 32,
-        bloom_expected: 100_000,
-        bloom_fp_rate: 0.01,
-        index_shards: 2,
-        persist: None,
-    };
+    let records = crash_records();
     // Reopen config: fault-free, with the epoch-1 secret in the keychain
     // (required once the crash landed anywhere at or past REKEY_BEGIN).
-    let clean = |run_dir: &PathBuf| DedupConfig {
-        persist: Some(
-            PersistConfig::new(run_dir)
-                .fsync(FsyncPolicy::Never)
-                .epoch_secret(1, CHAOS_EPOCH_SECRET),
-        ),
-        ..small()
+    let clean = |run_dir: &PathBuf| {
+        let pcfg = PersistConfig::new(run_dir).fsync(FsyncPolicy::Never);
+        small_store(Some(pcfg.epoch_secret(1, CHAOS_EPOCH_SECRET)))
     };
 
-    let workload = |cfg: DedupConfig, records: &[ChunkRecord]| -> Result<(), PersistError> {
-        let mut engine = DedupEngine::open(cfg)?;
-        for &r in &records[..64] {
-            engine.process_with_payload(r, &chunk_bytes(r.fp.value(), r.size));
-        }
-        engine.commit_backup(1, 100, &records[..64]).unwrap();
-        for &r in &records[32..] {
-            engine.process_with_payload(r, &chunk_bytes(r.fp.value(), r.size));
-        }
-        engine.commit_backup(2, 200, &records[32..]).unwrap();
-        engine.delete_backup(1).unwrap();
-        engine.gc(300);
-        engine.rekey(CHAOS_EPOCH_SECRET);
-        engine.close()
-    };
+    for shards in [1usize, 2] {
+        let workload = |pcfg: PersistConfig| -> Result<(), PersistError> {
+            let mut engine = DedupEngine::open_sharded(small_store(Some(pcfg)), shards)?;
+            for &r in &records[..64] {
+                engine.process_with_payload(r, &chunk_bytes(r.fp.value(), r.size));
+            }
+            engine.commit_backup(1, 100, &records[..64]).unwrap();
+            for &r in &records[32..] {
+                engine.process_with_payload(r, &chunk_bytes(r.fp.value(), r.size));
+            }
+            engine.commit_backup(2, 200, &records[32..]).unwrap();
+            engine.delete_backup(1).unwrap();
+            engine.gc(300);
+            engine.rekey(CHAOS_EPOCH_SECRET);
+            engine.close()
+        };
+        let shard_dir = dir.join(format!("shards-{shards}"));
+        crash_matrix(&shard_dir, ALL_SITES, workload, |site, tag, run_dir| {
+            match DedupEngine::open_sharded(clean(run_dir), shards) {
+                Ok(mut engine) => {
+                    // Pin (c): whatever the crash point, recovery lands on
+                    // a consistent pre- or post-step state.
+                    assert_backups_restorable(&engine, tag);
+                    // The interrupted step re-runs to completion.
+                    if engine.committed_backups().iter().any(|&(id, _)| id == 1) {
+                        engine.delete_backup(1).unwrap();
+                    }
+                    engine.gc(300);
+                    if engine.shards().iter().any(|s| s.epoch() < 1) {
+                        engine.rekey(CHAOS_EPOCH_SECRET);
+                    }
+                    assert_backups_restorable(&engine, tag);
+                    engine.close().unwrap();
 
-    // Probe: per-site operation counts for this exact churn workload.
-    let counting = CountingPolicy::new();
-    let counts = counting.counts();
-    workload(
-        DedupConfig {
-            persist: Some(
-                PersistConfig::new(dir.join("probe"))
-                    .fsync(FsyncPolicy::Always)
-                    .io_policy(counting),
-            ),
-            ..small()
-        },
-        &records,
-    )
-    .unwrap();
-    let counts = counts.lock().unwrap().clone();
-
-    for site in ALL_SITES {
-        let n = *counts.get(&site).unwrap_or(&0);
-        assert!(n > 0, "churn probe never hit {site:?}");
-        for mode in [FailMode::Error, FailMode::Torn] {
-            let mut kill_at = vec![0, n / 2];
-            kill_at.dedup();
-            for k in kill_at {
-                let tag = format!("lc-{site:?}-{mode:?}-k{k}");
-                let run_dir = dir.join(&tag);
-                let fail = FailAt::new(site, k, mode);
-                let fired = fail.fired();
-                let cfg = DedupConfig {
-                    persist: Some(
-                        PersistConfig::new(&run_dir)
-                            .fsync(FsyncPolicy::Always)
-                            .io_policy(fail),
-                    ),
-                    ..small()
-                };
-
-                let outcome = catch_unwind(AssertUnwindSafe(|| workload(cfg, &records)));
-                assert!(fired.load(Ordering::SeqCst), "{tag}: fault never fired");
-                if let Ok(Ok(())) = outcome {
-                    panic!("{tag}: succeeded despite the injected fault");
+                    let reopened = DedupEngine::open_sharded(clean(run_dir), shards).unwrap();
+                    for shard in reopened.shards() {
+                        assert_eq!(shard.epoch(), 1, "{tag}: epoch after convergence");
+                        assert_eq!(shard.pending_rekey(), None, "{tag}");
+                    }
+                    assert_backups_restorable(&reopened, tag);
                 }
-
-                match DedupEngine::open(clean(&run_dir)) {
-                    Ok(mut engine) => {
-                        // Pin (c): whatever the crash point, recovery lands
-                        // on a consistent pre- or post-step state.
-                        assert_backups_restorable(&engine, &tag);
-                        // The interrupted step re-runs to completion.
-                        if engine.backup_recipe(1).is_some() {
-                            engine.delete_backup(1).unwrap();
-                        }
-                        engine.gc(300);
-                        engine.rekey_to(1, CHAOS_EPOCH_SECRET);
-                        assert_backups_restorable(&engine, &tag);
-                        engine.close().unwrap();
-
-                        let reopened = DedupEngine::open(clean(&run_dir)).unwrap();
-                        assert_eq!(reopened.epoch(), 1, "{tag}: epoch after convergence");
-                        assert_eq!(reopened.pending_rekey(), None, "{tag}");
-                        assert_backups_restorable(&reopened, &tag);
-                    }
-                    Err(e) => {
-                        assert!(
-                            matches!(site, PersistSite::MetaWrite | PersistSite::ManifestHeader),
-                            "{tag}: recovery failed at a non-birth site: {e}"
-                        );
-                        std::fs::remove_dir_all(&run_dir).unwrap();
-                    }
+                Err(e) => {
+                    assert_birth_site(site, tag, &e);
+                    std::fs::remove_dir_all(run_dir).unwrap();
                 }
             }
-        }
+        });
     }
     done(&dir);
 }

@@ -24,7 +24,7 @@ fn sample_file(len: usize, seed: u64) -> Vec<u8> {
 
 fn store_and_restore(mle: &impl Mle, file: &[u8]) -> Vec<u8> {
     let cdc = CdcParams::with_avg_size(2048).expect("valid parameters");
-    let mut engine = DedupEngine::new(DedupConfig::paper(4 * 1024 * 1024, 100_000)).unwrap();
+    let mut engine = DedupEngine::open(DedupConfig::paper(4 * 1024 * 1024, 100_000)).unwrap();
     let mut file_recipe = FileRecipe::new("f");
     let mut key_recipe = KeyRecipe::new();
     for span in chunk_spans(file, &cdc) {
@@ -83,7 +83,7 @@ fn duplicate_files_deduplicate_under_mle() {
     let file = sample_file(120_000, 5);
     let cdc = CdcParams::with_avg_size(2048).expect("valid parameters");
     let mle = Convergent::new();
-    let mut engine = DedupEngine::new(DedupConfig::paper(4 * 1024 * 1024, 100_000)).unwrap();
+    let mut engine = DedupEngine::open(DedupConfig::paper(4 * 1024 * 1024, 100_000)).unwrap();
     for _user in 0..2 {
         for span in chunk_spans(&file, &cdc) {
             let (_, ct) = mle.encrypt(&file[span]).unwrap();
@@ -106,7 +106,7 @@ fn shifted_file_mostly_deduplicates() {
 
     let cdc = CdcParams::with_avg_size(2048).expect("valid parameters");
     let mle = Convergent::new();
-    let mut engine = DedupEngine::new(DedupConfig::paper(4 * 1024 * 1024, 100_000)).unwrap();
+    let mut engine = DedupEngine::open(DedupConfig::paper(4 * 1024 * 1024, 100_000)).unwrap();
     for data in [&file, &shifted] {
         for span in chunk_spans(data, &cdc) {
             let (_, ct) = mle.encrypt(&data[span]).unwrap();

@@ -18,8 +18,8 @@
 //! * **Cache/Bloom coherence after deletion** — once GC purges a
 //!   fingerprint, neither the S1 cache nor the Bloom filter may claim it
 //!   as a duplicate: re-ingesting it must store it again as unique.
-//!   Property-tested across both engines and (for the sharded engine)
-//!   ingest thread counts 1 and auto.
+//!   Property-tested on one shard and on two (at ingest thread counts 1
+//!   and auto).
 //!
 //! Test directories live under `target/persist-test/` like the
 //! persistence suite; removed on success, kept on panic for CI upload.
@@ -29,7 +29,6 @@ use std::path::PathBuf;
 
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
 use freqdedup::store::persist::{FsyncPolicy, PersistConfig, PersistError};
-use freqdedup::store::sharded::ShardedDedupEngine;
 use freqdedup::trace::par::ParConfig;
 use freqdedup::trace::{Backup, ChunkRecord, Fingerprint};
 use proptest::prelude::*;
@@ -52,7 +51,6 @@ fn config() -> DedupConfig {
         entry_bytes: 32,
         bloom_expected: 100_000,
         bloom_fp_rate: 0.01,
-        index_shards: 2,
         persist: None,
     }
 }
@@ -79,19 +77,15 @@ fn records(fps: std::ops::RangeInclusive<u64>) -> Vec<ChunkRecord> {
         .collect()
 }
 
-/// The index's fingerprint *set* (container assignments are layout, not
+/// The indexes' fingerprint *set* (container assignments are layout, not
 /// content — GC moves live chunks into fresh containers).
 fn fp_set(engine: &DedupEngine) -> BTreeSet<Fingerprint> {
     engine
-        .index()
-        .sorted_entries()
-        .into_iter()
+        .shards()
+        .iter()
+        .flat_map(|s| s.index().sorted_entries())
         .map(|(fp, _)| fp)
         .collect()
-}
-
-fn sharded_fp_set(engine: &ShardedDedupEngine) -> BTreeSet<Fingerprint> {
-    engine.shards().iter().flat_map(fp_set).collect()
 }
 
 /// Every record restores byte-identically from `read_chunk`.
@@ -130,12 +124,12 @@ const B2: std::ops::RangeInclusive<u64> = 8..=20;
 const B3: std::ops::RangeInclusive<u64> = 18..=30;
 const B2_EXCLUSIVE: std::ops::RangeInclusive<u64> = 11..=17;
 
-#[test]
-fn delete_gc_reopen_equals_never_held_store() {
-    let dir = test_dir("lc-gc-equiv");
+/// Pin (a) on a store of `shards` shards.
+fn delete_gc_reopen_equivalence(shards: usize) {
+    let dir = test_dir(&format!("lc-gc-equiv-{shards}"));
     let (b1, b2, b3) = (records(B1), records(B2), records(B3));
 
-    let mut held = DedupEngine::open(persisted(&dir)).unwrap();
+    let mut held = DedupEngine::open_sharded(persisted(&dir), shards).unwrap();
     put_backup!(held, 1, &b1);
     put_backup!(held, 2, &b2);
     put_backup!(held, 3, &b3);
@@ -146,9 +140,9 @@ fn delete_gc_reopen_equals_never_held_store() {
     assert!(report.moved_chunks > 0, "shared chunks should have moved");
     held.close().unwrap();
 
-    let reopened = DedupEngine::open(persisted(&dir)).unwrap();
+    let reopened = DedupEngine::open_sharded(persisted(&dir), shards).unwrap();
 
-    let mut never = DedupEngine::new(config()).unwrap();
+    let mut never = DedupEngine::open_sharded(config(), shards).unwrap();
     put_backup!(never, 1, &b1);
     put_backup!(never, 3, &b3);
     never.finish();
@@ -175,7 +169,7 @@ fn delete_gc_reopen_equals_never_held_store() {
             "victim-exclusive chunk {fp} still readable"
         );
         assert!(
-            reopened.index().peek(Fingerprint(fp)).is_none(),
+            !reopened.contains(Fingerprint(fp)),
             "victim-exclusive chunk {fp} still indexed"
         );
     }
@@ -183,40 +177,13 @@ fn delete_gc_reopen_equals_never_held_store() {
 }
 
 #[test]
+fn delete_gc_reopen_equals_never_held_store() {
+    delete_gc_reopen_equivalence(1);
+}
+
+#[test]
 fn sharded_delete_gc_reopen_equals_never_held_store() {
-    let dir = test_dir("lc-gc-equiv-sharded");
-    let (b1, b2, b3) = (records(B1), records(B2), records(B3));
-
-    let mut held = ShardedDedupEngine::open(persisted(&dir), 2).unwrap();
-    put_backup!(held, 1, &b1);
-    put_backup!(held, 2, &b2);
-    put_backup!(held, 3, &b3);
-    held.delete_backup(2).unwrap();
-    let report = held.gc(1000);
-    assert!(report.containers_dropped > 0, "GC dropped nothing");
-    held.close().unwrap();
-
-    let reopened = ShardedDedupEngine::open(persisted(&dir), 2).unwrap();
-
-    let mut never = ShardedDedupEngine::new(config(), 2).unwrap();
-    put_backup!(never, 1, &b1);
-    put_backup!(never, 3, &b3);
-    never.finish();
-
-    assert_eq!(reopened.committed_backups(), never.committed_backups());
-    assert_restores!(&reopened, &b1, "sharded held");
-    assert_restores!(&reopened, &b3, "sharded held");
-    assert_eq!(
-        sharded_fp_set(&reopened),
-        sharded_fp_set(&never),
-        "index fingerprint set"
-    );
-    assert_eq!(reopened.stats().unique_chunks, never.stats().unique_chunks);
-    assert_eq!(reopened.stats().unique_bytes, never.stats().unique_bytes);
-    for fp in B2_EXCLUSIVE {
-        assert!(reopened.read_chunk(Fingerprint(fp)).is_none());
-    }
-    done(&dir);
+    delete_gc_reopen_equivalence(2);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,11 +192,17 @@ fn sharded_delete_gc_reopen_equals_never_held_store() {
 
 #[test]
 fn rekey_preserves_dedup_ratio_and_restores() {
-    let dir = test_dir("lc-rekey");
+    for shards in [1, 2] {
+        rekey_round_trip(shards);
+    }
+}
+
+fn rekey_round_trip(shards: usize) {
+    let dir = test_dir(&format!("lc-rekey-{shards}"));
     let secret = b"lifecycle-epoch-one";
     let base = records(100..=140);
 
-    let mut engine = DedupEngine::open(persisted(&dir)).unwrap();
+    let mut engine = DedupEngine::open_sharded(persisted(&dir), shards).unwrap();
     // Two identical generations: dedup ratio exactly 2.0 going in.
     put_backup!(engine, 1, &base);
     put_backup!(engine, 2, &base);
@@ -263,7 +236,7 @@ fn rekey_preserves_dedup_ratio_and_restores() {
 
     // Without the epoch secret the store must refuse to open, not decrypt
     // garbage.
-    let err = match DedupEngine::open(persisted(&dir)) {
+    let err = match DedupEngine::open_sharded(persisted(&dir), shards) {
         Ok(_) => panic!("open without the epoch secret must fail"),
         Err(e) => e,
     };
@@ -281,7 +254,7 @@ fn rekey_preserves_dedup_ratio_and_restores() {
         ),
         ..config()
     };
-    let reopened = DedupEngine::open(cfg).unwrap();
+    let reopened = DedupEngine::open_sharded(cfg, shards).unwrap();
     assert_eq!(reopened.epoch(), 1);
     assert_eq!(
         reopened.committed_backups(),
@@ -294,8 +267,8 @@ fn rekey_preserves_dedup_ratio_and_restores() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: cache/Bloom coherence after deletion (both engines,
-// sharded ingest at threads 1 and auto).
+// Satellite: cache/Bloom coherence after deletion (one shard, and two
+// shards ingested at threads 1 and auto).
 // ---------------------------------------------------------------------------
 
 /// Fingerprints referenced only by the victim backup: these must be
@@ -357,8 +330,8 @@ fn mk_records(raw: &[(u64, u32)]) -> Vec<ChunkRecord> {
 }
 
 proptest! {
-    /// Sequential engine: deleted-and-GC'd fingerprints never produce
-    /// false duplicate hits from the cache or Bloom filter.
+    /// One shard: deleted-and-GC'd fingerprints never produce false
+    /// duplicate hits from the cache or Bloom filter.
     #[test]
     fn deletion_coherence_sequential(
         survivor in prop::collection::vec((0u64..40, 8u32..64), 10..80),
@@ -371,7 +344,7 @@ proptest! {
         let live: BTreeSet<Fingerprint> = survivor.iter().map(|r| r.fp).collect();
         let purged = purged_set(&live, &victim);
 
-        let mut engine = DedupEngine::new(config()).unwrap();
+        let mut engine = DedupEngine::open(config()).unwrap();
         for r in &survivor {
             engine.process(*r);
         }
@@ -385,14 +358,15 @@ proptest! {
         engine.gc(1000);
 
         for fp in &purged {
-            prop_assert!(!engine.cache().peek(*fp), "stale cache entry {fp:?}");
-            prop_assert!(engine.index().peek(*fp).is_none(), "stale index entry {fp:?}");
+            let shard = &engine.shards()[0];
+            prop_assert!(!shard.cache().peek(*fp), "stale cache entry {fp:?}");
+            prop_assert!(shard.index().peek(*fp).is_none(), "stale index entry {fp:?}");
             prop_assert!(engine.read_chunk(*fp).is_none(), "purged chunk {fp:?} readable");
         }
         assert_replay_coherent!(&mut engine, &live, &purged, &victim, "sequential");
     }
 
-    /// Sharded engine at ingest thread counts 1 and auto: same coherence
+    /// Two shards at ingest thread counts 1 and auto: same coherence
     /// contract, exercised through the parallel ingest path.
     #[test]
     fn deletion_coherence_sharded(
@@ -407,7 +381,7 @@ proptest! {
         let purged = purged_set(&live, &victim);
 
         for threads in [1usize, 0] {
-            let mut engine = ShardedDedupEngine::new(config(), 2).unwrap();
+            let mut engine = DedupEngine::open_sharded(config(), 2).unwrap();
             let par = ParConfig::with_threads(threads);
             engine.ingest_backup(&Backup::from_chunks("s", survivor.clone()), par);
             engine.commit_backup(1, 1, &survivor).unwrap();

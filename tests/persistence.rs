@@ -5,23 +5,27 @@
 //! * **Clean round trip** — ingest → `close()` → `open()` resumes
 //!   *bit-identically*: `StoreStats`, metadata-access counters, index
 //!   contents, cache recency and all subsequent ingest outcomes equal
-//!   those of an engine that never restarted. Holds for [`DedupEngine`]
-//!   and [`ShardedDedupEngine`] at any worker thread count.
+//!   those of an engine that never restarted. Holds for one shard and for
+//!   several, at any worker thread count.
 //! * **Torn tail** — truncating the last container log mid-record loses
 //!   only that container: recovery rolls back to the last consistent
 //!   sealed state and the store keeps working.
+//! * **Torn fan-out** — a crash between shards of a backup commit or
+//!   delete is rolled back or completed on reopen.
+//! * **Legacy layouts** — stores written before the engine types were
+//!   merged (flat, sharded roots with one and four shards, an inner-sharded
+//!   index snapshot) reopen with identical counters and restores.
 //!
 //! Test directories live under `target/persist-test/` so CI can upload
 //! them as an artifact when a test fails; they are removed on success.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use freqdedup::datasets::fsl::{generate, FslConfig};
 use freqdedup::store::container::ContainerId;
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
 use freqdedup::store::log::container_path;
 use freqdedup::store::persist::{FsyncPolicy, PersistConfig, PersistError};
-use freqdedup::store::sharded::ShardedDedupEngine;
 use freqdedup::trace::par::ParConfig;
 use freqdedup::trace::{Backup, ChunkRecord, Fingerprint};
 use proptest::prelude::*;
@@ -46,9 +50,15 @@ fn config() -> DedupConfig {
         entry_bytes: 32,
         bloom_expected: 100_000,
         bloom_fp_rate: 0.01,
-        index_shards: 2,
         persist: None,
     }
+}
+
+/// 16-byte chunks whose fingerprints scatter over the whole u64 space (so
+/// every prefix shard gets traffic).
+fn spread(ids: std::ops::Range<u64>) -> Vec<ChunkRecord> {
+    ids.map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
+        .collect()
 }
 
 fn persisted(dir: &PathBuf) -> DedupConfig {
@@ -59,7 +69,7 @@ fn persisted(dir: &PathBuf) -> DedupConfig {
 }
 
 /// Full engine-state equality check between a recovered engine and its
-/// never-restarted twin.
+/// never-restarted twin: the summed counters, then every shard's.
 fn assert_engines_identical(reopened: &DedupEngine, live: &DedupEngine, what: &str) {
     assert_eq!(reopened.stats(), live.stats(), "{what}: stats");
     assert_eq!(
@@ -69,26 +79,37 @@ fn assert_engines_identical(reopened: &DedupEngine, live: &DedupEngine, what: &s
     );
     assert_eq!(reopened.loading_ops(), live.loading_ops(), "{what}: loads");
     assert_eq!(
-        reopened.index().sorted_entries(),
-        live.index().sorted_entries(),
-        "{what}: index contents"
+        reopened.shards().len(),
+        live.shards().len(),
+        "{what}: shards"
     );
-    assert_eq!(
-        reopened.cache().lru_to_mru(),
-        live.cache().lru_to_mru(),
-        "{what}: cache recency"
-    );
-    assert_eq!(
-        reopened.containers().sealed_count(),
-        live.containers().sealed_count(),
-        "{what}: container count"
-    );
-    for id in 0..live.containers().sealed_count() {
-        let cid = ContainerId(id as u32);
-        let a = reopened.containers().get(cid).unwrap();
-        let b = live.containers().get(cid).unwrap();
-        assert_eq!(a.fingerprints, b.fingerprints, "{what}: container {id}");
-        assert_eq!(a.chunk_sizes(), b.chunk_sizes(), "{what}: container {id}");
+    for (shard, (r, l)) in reopened.shards().iter().zip(live.shards()).enumerate() {
+        let what = format!("{what}, shard {shard}");
+        assert_eq!(r.stats(), l.stats(), "{what}: stats");
+        assert_eq!(r.metadata_access(), l.metadata_access(), "{what}: metadata");
+        assert_eq!(r.loading_ops(), l.loading_ops(), "{what}: loads");
+        assert_eq!(
+            r.index().sorted_entries(),
+            l.index().sorted_entries(),
+            "{what}: index contents"
+        );
+        assert_eq!(
+            r.cache().lru_to_mru(),
+            l.cache().lru_to_mru(),
+            "{what}: cache recency"
+        );
+        assert_eq!(
+            r.containers().sealed_count(),
+            l.containers().sealed_count(),
+            "{what}: container count"
+        );
+        for id in 0..l.containers().sealed_count() {
+            let cid = ContainerId(id as u32);
+            let a = r.containers().get(cid).unwrap();
+            let b = l.containers().get(cid).unwrap();
+            assert_eq!(a.fingerprints, b.fingerprints, "{what}: container {id}");
+            assert_eq!(a.chunk_sizes(), b.chunk_sizes(), "{what}: container {id}");
+        }
     }
 }
 
@@ -111,7 +132,7 @@ proptest! {
             .map(|&(fp, size)| ChunkRecord::new(fp.wrapping_mul(0x9e37_79b9_7f4a_7c15), size))
             .collect();
 
-        let mut live = DedupEngine::new(config()).unwrap();
+        let mut live = DedupEngine::open(config()).unwrap();
         for &r in &records {
             live.process(r);
         }
@@ -149,15 +170,15 @@ fn engine_survives_multi_session_backup_series() {
         ..FslConfig::scaled(400)
     });
 
-    let mut live = DedupEngine::new(config()).unwrap();
+    let mut live = DedupEngine::open(config()).unwrap();
     for backup in &series {
-        live.ingest_backup(backup);
+        live.ingest_backup(backup, ParConfig::sequential());
         live.finish();
     }
 
     for backup in &series {
         let mut session = DedupEngine::open(persisted(&dir)).unwrap();
-        session.ingest_backup(backup);
+        session.ingest_backup(backup, ParConfig::sequential());
         session.close().unwrap();
     }
 
@@ -179,29 +200,21 @@ fn sharded_round_trip_bit_identical_across_threads() {
         let par = ParConfig::with_threads(threads);
         let dir = dir_base.join(format!("threads-{threads}"));
 
-        let mut live = ShardedDedupEngine::new(config(), 4).unwrap();
+        let mut live = DedupEngine::open_sharded(config(), 4).unwrap();
         for backup in &series {
             live.ingest_backup(backup, par);
         }
         live.finish();
 
-        let mut durable = ShardedDedupEngine::open(persisted(&dir), 4).unwrap();
+        let mut durable = DedupEngine::open_sharded(persisted(&dir), 4).unwrap();
         for backup in &series {
             durable.ingest_backup(backup, par);
         }
         durable.finish();
         durable.close().unwrap();
 
-        let mut reopened = ShardedDedupEngine::open(persisted(&dir), 4).unwrap();
-        assert_eq!(reopened.stats(), live.stats(), "threads {threads}: stats");
-        assert_eq!(
-            reopened.metadata_access(),
-            live.metadata_access(),
-            "threads {threads}: metadata access"
-        );
-        for (shard, (a, b)) in reopened.shards().iter().zip(live.shards()).enumerate() {
-            assert_engines_identical(a, b, &format!("threads {threads}, shard {shard}"));
-        }
+        let mut reopened = DedupEngine::open_sharded(persisted(&dir), 4).unwrap();
+        assert_engines_identical(&reopened, &live, &format!("threads {threads}"));
 
         // Subsequent ingest after recovery matches the never-restarted run.
         reopened.ingest_backup(&extra, par);
@@ -256,9 +269,7 @@ fn torn_container_log_recovers_last_sealed_prefix() {
     let dir = test_dir("torn-tail");
     // Distinct fingerprints, 16 bytes each, 256-byte containers → 16 chunks
     // per container. 96 chunks = 6 full containers.
-    let records: Vec<ChunkRecord> = (0..96u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
+    let records = spread(0..96);
     let mut engine = DedupEngine::open(persisted(&dir)).unwrap();
     for &r in &records {
         engine.process(r);
@@ -281,32 +292,32 @@ fn torn_container_log_recovers_last_sealed_prefix() {
         "stale snapshot must be removed during rollback"
     );
     // Exactly the last consistent sealed state: containers 0..5.
-    assert_eq!(recovered.containers().sealed_count(), 5);
+    assert_eq!(recovered.shards()[0].containers().sealed_count(), 5);
     assert_eq!(recovered.stats().containers_sealed, 5);
     assert_eq!(recovered.stats().unique_chunks, 80);
     assert_eq!(recovered.stats().unique_bytes, 80 * 16);
-    assert_eq!(recovered.index().len(), 80);
+    assert_eq!(recovered.shards()[0].index().len(), 80);
 
     // The recovered storage state equals a reference engine that ingested
     // only the first five containers' worth of the stream.
-    let mut reference = DedupEngine::new(config()).unwrap();
+    let mut reference = DedupEngine::open(config()).unwrap();
     for &r in &records[..80] {
         reference.process(r);
     }
     reference.finish();
     assert_eq!(
-        recovered.index().sorted_entries(),
-        reference.index().sorted_entries(),
+        recovered.shards()[0].index().sorted_entries(),
+        reference.shards()[0].index().sorted_entries(),
         "index equals the sealed-prefix reference"
     );
     for id in 0..5u32 {
         assert_eq!(
-            recovered
+            recovered.shards()[0]
                 .containers()
                 .get(ContainerId(id))
                 .unwrap()
                 .fingerprints,
-            reference
+            reference.shards()[0]
                 .containers()
                 .get(ContainerId(id))
                 .unwrap()
@@ -324,7 +335,7 @@ fn torn_container_log_recovers_last_sealed_prefix() {
     recovered.close().unwrap();
     let after = DedupEngine::open(persisted(&dir)).unwrap();
     assert_eq!(after.stats().unique_chunks, 96);
-    assert_eq!(after.containers().sealed_count(), 6);
+    assert_eq!(after.shards()[0].containers().sealed_count(), 6);
     done(&dir);
 }
 
@@ -332,15 +343,16 @@ fn torn_container_log_recovers_last_sealed_prefix() {
 /// reopen.
 fn engine_stats_of(dir: &PathBuf) -> (usize, u64) {
     let e = DedupEngine::open(persisted(dir)).unwrap();
-    (e.containers().sealed_count(), e.stats().unique_chunks)
+    (
+        e.shards()[0].containers().sealed_count(),
+        e.stats().unique_chunks,
+    )
 }
 
 #[test]
 fn torn_manifest_tail_is_rolled_back() {
     let dir = test_dir("torn-manifest");
-    let records: Vec<ChunkRecord> = (0..48u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
+    let records = spread(0..48);
     let mut engine = DedupEngine::open(persisted(&dir)).unwrap();
     for &r in &records {
         engine.process(r);
@@ -354,7 +366,7 @@ fn torn_manifest_tail_is_rolled_back() {
     std::fs::write(&manifest, &bytes[..bytes.len() - 5]).unwrap();
 
     let recovered = DedupEngine::open(persisted(&dir)).unwrap();
-    assert_eq!(recovered.containers().sealed_count(), 2);
+    assert_eq!(recovered.shards()[0].containers().sealed_count(), 2);
     assert_eq!(recovered.stats().unique_chunks, 32);
     done(&dir);
 }
@@ -366,13 +378,13 @@ fn sharded_torn_shard_recovers_independently() {
         backups: 2,
         ..FslConfig::scaled(400)
     });
-    let mut engine = ShardedDedupEngine::open(persisted(&dir), 4).unwrap();
+    let mut engine = DedupEngine::open_sharded(persisted(&dir), 4).unwrap();
     for backup in &series {
         engine.ingest_backup(backup, ParConfig::sequential());
     }
     engine.close().unwrap();
     let before = {
-        let e = ShardedDedupEngine::open(persisted(&dir), 4).unwrap();
+        let e = DedupEngine::open_sharded(persisted(&dir), 4).unwrap();
         e.stats()
     };
 
@@ -395,7 +407,7 @@ fn sharded_torn_shard_recovers_independently() {
     let bytes = std::fs::read(&torn).unwrap();
     std::fs::write(&torn, &bytes[..bytes.len() - 7]).unwrap();
 
-    let recovered = ShardedDedupEngine::open(persisted(&dir), 4).unwrap();
+    let recovered = DedupEngine::open_sharded(persisted(&dir), 4).unwrap();
     let after = recovered.stats();
     assert_eq!(
         after.containers_sealed,
@@ -407,7 +419,7 @@ fn sharded_torn_shard_recovers_independently() {
     let stored: u64 = recovered
         .shards()
         .iter()
-        .map(|e| e.containers().iter().map(|c| c.len() as u64).sum::<u64>())
+        .map(|s| s.containers().iter().map(|c| c.len() as u64).sum::<u64>())
         .sum();
     assert_eq!(after.unique_chunks, stored);
     done(&dir);
@@ -420,9 +432,7 @@ fn resealed_container_id_wins_over_stale_snapshot() {
     // *different* data re-seals id 2 → crash without close → recovery must
     // reflect the new container 2, never the stale snapshot's image of it.
     let dir = test_dir("reseal");
-    let old: Vec<ChunkRecord> = (0..48u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
+    let old = spread(0..48);
     let mut engine = DedupEngine::open(persisted(&dir)).unwrap();
     for &r in &old {
         engine.process(r);
@@ -434,11 +444,9 @@ fn resealed_container_id_wins_over_stale_snapshot() {
     std::fs::write(&torn, &bytes[..bytes.len() - 9]).unwrap();
 
     let mut recovered = DedupEngine::open(persisted(&dir)).unwrap();
-    assert_eq!(recovered.containers().sealed_count(), 2);
+    assert_eq!(recovered.shards()[0].containers().sealed_count(), 2);
     // Re-seal container id 2 with fresh fingerprints, crash without close.
-    let new: Vec<ChunkRecord> = (1000..1016u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
+    let new = spread(1000..1016);
     for &r in &new {
         recovered.process(r);
     }
@@ -446,12 +454,12 @@ fn resealed_container_id_wins_over_stale_snapshot() {
     // as the new container 2; it itself stays in the open buffer and is
     // lost with the crash.
     recovered.process(ChunkRecord::new(u64::MAX, 16));
-    assert_eq!(recovered.containers().sealed_count(), 3);
+    assert_eq!(recovered.shards()[0].containers().sealed_count(), 3);
     drop(recovered);
 
     let after = DedupEngine::open(persisted(&dir)).unwrap();
-    assert_eq!(after.containers().sealed_count(), 3);
-    let c2 = after.containers().get(ContainerId(2)).unwrap();
+    assert_eq!(after.shards()[0].containers().sealed_count(), 3);
+    let c2 = after.shards()[0].containers().get(ContainerId(2)).unwrap();
     assert_eq!(
         c2.fingerprints,
         new.iter().map(|r| r.fp).collect::<Vec<_>>(),
@@ -459,13 +467,17 @@ fn resealed_container_id_wins_over_stale_snapshot() {
     );
     for &r in &new {
         assert_eq!(
-            after.index().peek(r.fp),
+            after.shards()[0].index().peek(r.fp),
             Some(ContainerId(2)),
             "index must map the new fingerprints"
         );
     }
     for &r in &old[32..48] {
-        assert_eq!(after.index().peek(r.fp), None, "old container 2 fps gone");
+        assert_eq!(
+            after.shards()[0].index().peek(r.fp),
+            None,
+            "old container 2 fps gone"
+        );
     }
     done(&dir);
 }
@@ -473,23 +485,23 @@ fn resealed_container_id_wins_over_stale_snapshot() {
 #[test]
 fn opening_sharded_root_as_plain_engine_is_rejected() {
     let dir = test_dir("root-kind");
-    let sharded = ShardedDedupEngine::open(persisted(&dir), 2).unwrap();
+    let sharded = DedupEngine::open_sharded(persisted(&dir), 2).unwrap();
     sharded.close().unwrap();
     // A sharded root has a store.meta but no top-level manifest; a plain
     // engine open must refuse rather than re-initialize over it.
     let err = DedupEngine::open(persisted(&dir)).unwrap_err();
     assert!(matches!(err, PersistError::ConfigMismatch(_)), "{err}");
     // The sharded store is untouched and still opens.
-    ShardedDedupEngine::open(persisted(&dir), 2).unwrap();
+    DedupEngine::open_sharded(persisted(&dir), 2).unwrap();
     done(&dir);
 }
 
 #[test]
 fn reopening_with_wrong_shard_count_is_rejected() {
     let dir = test_dir("shard-mismatch");
-    let engine = ShardedDedupEngine::open(persisted(&dir), 4).unwrap();
+    let engine = DedupEngine::open_sharded(persisted(&dir), 4).unwrap();
     engine.close().unwrap();
-    assert!(ShardedDedupEngine::open(persisted(&dir), 8).is_err());
+    assert!(DedupEngine::open_sharded(persisted(&dir), 8).is_err());
     done(&dir);
 }
 
@@ -521,9 +533,7 @@ fn fsync_failure_matrix_recovers_to_sealed_prefix() {
     // Distinct fingerprints, 16 bytes each, 256-byte containers → exactly
     // 16 chunks per container, 96 chunks = 6 full containers (the same
     // geometry as the torn-tail tests, so the sealed prefix is computable).
-    let records: Vec<ChunkRecord> = (0..96u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
+    let records = spread(0..96);
 
     // Probe run: count how often each sync site fires during the workload
     // so the kill indices cover first / middle / last occurrence.
@@ -585,21 +595,21 @@ fn fsync_failure_matrix_recovers_to_sealed_prefix() {
             // sealed prefix and matches a reference engine over it.
             let recovered = DedupEngine::open(persisted(&run_dir))
                 .unwrap_or_else(|e| panic!("{site:?} k{k}: recovery failed: {e}"));
-            let sealed = recovered.containers().sealed_count();
+            let sealed = recovered.shards()[0].containers().sealed_count();
             assert!(sealed <= 6, "{site:?} k{k}: {sealed} sealed");
             assert_eq!(
                 recovered.stats().unique_chunks,
                 (sealed * 16) as u64,
                 "{site:?} k{k}: stats match the sealed prefix"
             );
-            let mut reference = DedupEngine::new(config()).unwrap();
+            let mut reference = DedupEngine::open(config()).unwrap();
             for &r in &records[..sealed * 16] {
                 reference.process(r);
             }
             reference.finish();
             assert_eq!(
-                recovered.index().sorted_entries(),
-                reference.index().sorted_entries(),
+                recovered.shards()[0].index().sorted_entries(),
+                reference.shards()[0].index().sorted_entries(),
                 "{site:?} k{k}: index equals the sealed-prefix reference"
             );
 
@@ -611,13 +621,17 @@ fn fsync_failure_matrix_recovers_to_sealed_prefix() {
             recovered.close().unwrap();
             let after = DedupEngine::open(persisted(&run_dir)).unwrap();
             assert_eq!(after.stats().unique_chunks, 96, "{site:?} k{k}");
-            assert_eq!(after.containers().sealed_count(), 6, "{site:?} k{k}");
+            assert_eq!(
+                after.shards()[0].containers().sealed_count(),
+                6,
+                "{site:?} k{k}"
+            );
         }
     }
     done(&dir);
 }
 
-/// The same fsync-failure matrix against [`ShardedDedupEngine`] at worker
+/// The same fsync-failure matrix against a four-shard engine at worker
 /// thread counts 1 (sequential) and 0 (all cores): the shared fault
 /// schedule kills whichever shard reaches the k-th sync first; whatever
 /// the interleaving, recovery must satisfy the aggregate invariant
@@ -636,7 +650,7 @@ fn sharded_fsync_failure_matrix_recovers_across_threads() {
         ..FslConfig::scaled(150)
     });
     let reference = {
-        let mut e = ShardedDedupEngine::new(config(), 4).unwrap();
+        let mut e = DedupEngine::open_sharded(config(), 4).unwrap();
         for backup in &series {
             e.ingest_backup(backup, ParConfig::sequential());
         }
@@ -662,7 +676,7 @@ fn sharded_fsync_failure_matrix_recovers_across_threads() {
                 };
 
                 let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), PersistError> {
-                    let mut engine = ShardedDedupEngine::open(cfg, 4)?;
+                    let mut engine = DedupEngine::open_sharded(cfg, 4)?;
                     for backup in &series {
                         engine.ingest_backup(backup, par);
                     }
@@ -680,12 +694,12 @@ fn sharded_fsync_failure_matrix_recovers_across_threads() {
                     "{tag}: succeeded despite an injected fsync failure"
                 );
 
-                let recovered = ShardedDedupEngine::open(persisted(&run_dir), 4)
+                let recovered = DedupEngine::open_sharded(persisted(&run_dir), 4)
                     .unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
                 let stored: u64 = recovered
                     .shards()
                     .iter()
-                    .map(|e| e.containers().iter().map(|c| c.len() as u64).sum::<u64>())
+                    .map(|s| s.containers().iter().map(|c| c.len() as u64).sum::<u64>())
                     .sum();
                 assert_eq!(
                     recovered.stats().unique_chunks,
@@ -699,7 +713,7 @@ fn sharded_fsync_failure_matrix_recovers_across_threads() {
                     recovered.ingest_backup(backup, par);
                 }
                 recovered.close().unwrap();
-                let after = ShardedDedupEngine::open(persisted(&run_dir), 4).unwrap();
+                let after = DedupEngine::open_sharded(persisted(&run_dir), 4).unwrap();
                 assert_eq!(
                     after.stats().unique_chunks,
                     reference.unique_chunks,
@@ -724,14 +738,12 @@ fn interval_snapshots_keep_crash_recovery_fresh() {
         ..config()
     };
     let mut engine = DedupEngine::open(cfg.clone()).unwrap();
-    let backup: Backup = (0..64u64)
-        .map(|i| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16))
-        .collect();
-    engine.ingest_backup(&backup);
+    let backup = Backup::from_chunks("b", spread(0..64));
+    engine.ingest_backup(&backup, ParConfig::sequential());
     engine.finish(); // interval snapshot fires here
                      // Re-ingest (all duplicates), then crash without close: the duplicate
                      // flow counters since the snapshot are lost, the storage state is not.
-    engine.ingest_backup(&backup);
+    engine.ingest_backup(&backup, ParConfig::sequential());
     let stats_at_snapshot_point = {
         drop(engine);
         let r = DedupEngine::open(cfg).unwrap();
@@ -741,4 +753,179 @@ fn interval_snapshots_keep_crash_recovery_fresh() {
     assert_eq!(stats_at_snapshot_point.logical_chunks, 64);
     assert_eq!(stats_at_snapshot_point.containers_sealed, 4);
     done(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Torn commit/delete fan-out across shards
+// ---------------------------------------------------------------------------
+
+/// A two-shard durable store under an injected fault, with `records`
+/// ingested: the caller's `step` must fail-stop (panic), after which the
+/// directory is reopened fault-free.
+fn crash_two_shard_step(
+    dir: &Path,
+    fail: freqdedup::store::fault::FailAt,
+    records: &[ChunkRecord],
+    step: impl FnOnce(&mut DedupEngine),
+) -> DedupEngine {
+    let cfg = DedupConfig {
+        persist: Some(
+            PersistConfig::new(dir)
+                .fsync(FsyncPolicy::Never)
+                .io_policy(fail),
+        ),
+        ..config()
+    };
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut engine = DedupEngine::open_sharded(cfg, 2).unwrap();
+        for &r in records {
+            engine.process(r);
+        }
+        step(&mut engine);
+    }));
+    assert!(
+        outcome.is_err(),
+        "the injected fault must fail-stop the step"
+    );
+    DedupEngine::open_sharded(persisted(&dir.to_path_buf()), 2).unwrap()
+}
+
+#[test]
+fn torn_commit_fanout_rolls_back_on_reopen() {
+    use freqdedup::store::fault::{FailAt, FailMode, PersistSite};
+
+    let dir = test_dir("torn-commit-fanout");
+    let records = spread(0..32);
+    // Shard 0 writes the first recipe; shard 1's write fails.
+    let fail = FailAt::new(PersistSite::RecipeWrite, 1, FailMode::Error);
+    let mut engine = crash_two_shard_step(&dir, fail, &records, |e| {
+        let _ = e.commit_backup(7, 7, &records);
+    });
+    for (i, shard) in engine.shards().iter().enumerate() {
+        assert!(shard.backup_recipe(7).is_none(), "shard {i} still holds 7");
+        assert!(!shard.refcounts().is_live(records[0].fp));
+    }
+    assert_eq!(engine.committed_backups(), vec![]);
+    assert!(engine.delete_backup(7).is_err(), "nothing left to delete");
+
+    // The retry commits store-wide and survives a reopen.
+    engine.commit_backup(7, 7, &records).unwrap();
+    engine.close().unwrap();
+    let engine = DedupEngine::open_sharded(persisted(&dir), 2).unwrap();
+    assert_eq!(engine.committed_backups(), vec![(7, 7)]);
+    assert!(engine.shards().iter().all(|s| s.backup_recipe(7).is_some()));
+    done(&dir);
+}
+
+#[test]
+fn torn_delete_fanout_completes_on_reopen() {
+    use freqdedup::store::fault::{FailAt, FailMode, PersistSite};
+
+    let dir = test_dir("torn-delete-fanout");
+    let records = spread(0..32);
+    {
+        let mut engine = DedupEngine::open_sharded(persisted(&dir), 2).unwrap();
+        for &r in &records {
+            engine.process(r);
+        }
+        engine.commit_backup(7, 7, &records).unwrap();
+        engine.close().unwrap();
+    }
+    // Shard 0 journals the delete; shard 1's journal append fails.
+    let fail = FailAt::new(PersistSite::ManifestAppend, 1, FailMode::Error);
+    let mut engine = crash_two_shard_step(&dir, fail, &[], |e| {
+        let _ = e.delete_backup(7);
+    });
+    for (i, shard) in engine.shards().iter().enumerate() {
+        assert!(shard.backup_recipe(7).is_none(), "shard {i} still holds 7");
+    }
+    assert_eq!(engine.committed_backups(), vec![]);
+    assert_eq!(engine.stats().deleted_chunks, records.len() as u64);
+    // Every reference is released: GC reclaims the whole store.
+    engine.gc(0);
+    assert_eq!(engine.stats().unique_chunks, 0);
+    done(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Legacy directory layouts (fixtures: tests/fixtures/legacy_layouts/)
+// ---------------------------------------------------------------------------
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// The fixture workload's backups and payloads, as `generate.rs` beside
+/// the fixtures defines them.
+fn fixture_backup(id: u64) -> Vec<ChunkRecord> {
+    let range = match id {
+        1 | 4 => 1..=24,
+        2 => 16..=40,
+        _ => 36..=60,
+    };
+    let record =
+        |i: u64| ChunkRecord::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), 16 + i as u32 % 3 * 8);
+    range.map(record).collect()
+}
+
+fn fixture_bytes(r: ChunkRecord) -> Vec<u8> {
+    let fp = r.fp.value().to_le_bytes();
+    fp.into_iter().cycle().take(r.size as usize).collect()
+}
+
+/// The counters `generate.rs` recorded in `expected.txt`.
+fn fixture_summary(e: &DedupEngine) -> String {
+    let m = e.metadata_access();
+    let metadata = [m.update_bytes, m.index_bytes, m.loading_bytes];
+    let summary = (
+        e.stats().to_array(),
+        metadata,
+        e.loading_ops(),
+        e.committed_backups(),
+    );
+    format!("{summary:?}\n")
+}
+
+#[test]
+fn legacy_layouts_reopen_identically() {
+    let fixtures = Path::new("tests/fixtures/legacy_layouts");
+    for (name, shards) in [
+        ("flat", 1),
+        ("index-shards-2", 1),
+        ("sharded-1", 1),
+        ("sharded-4", 4),
+    ] {
+        let dir = test_dir(&format!("legacy-{name}"));
+        copy_dir(&fixtures.join(name).join("store"), &dir);
+        let expected = std::fs::read_to_string(fixtures.join(name).join("expected.txt")).unwrap();
+        let cfg = DedupConfig {
+            container_bytes: 256,
+            cache_entries: 16,
+            bloom_expected: 1_000,
+            ..persisted(&dir)
+        };
+        // Reopen twice: as written by the old code, then as closed here.
+        for round in 0..2 {
+            let engine = DedupEngine::open_sharded(cfg.clone(), shards)
+                .unwrap_or_else(|e| panic!("{name}: reopen {round} failed: {e}"));
+            assert_eq!(fixture_summary(&engine), expected, "{name}, round {round}");
+            for (id, _) in engine.committed_backups() {
+                for r in fixture_backup(id) {
+                    let got = engine.read_chunk(r.fp);
+                    assert_eq!(got, Some(&fixture_bytes(r)[..]), "{name}: backup {id}");
+                }
+            }
+            engine.close().unwrap();
+        }
+        done(&dir);
+    }
 }

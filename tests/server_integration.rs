@@ -9,7 +9,7 @@
 //!   ∈ {1, 4}, the adversary tap's deterministic view equals the offline
 //!   series, its attack inference (both [`TiePolicy`] variants) is
 //!   bit-identical to direct in-process ingest, and the served store's
-//!   partition-invariant totals match a direct `ShardedDedupEngine` run.
+//!   partition-invariant totals match a direct four-shard engine run.
 //! * **Restart** — a server restarted on its store directory recovers
 //!   per the PR 4 invariant (graceful shutdown checkpoints, so no crash
 //!   recovery is needed), and clients resume to a verified restore —
@@ -35,9 +35,8 @@ use freqdedup::server::client::{synthetic_payload, Client, ClientError};
 use freqdedup::server::frame::{read_frame, write_frame};
 use freqdedup::server::proto::{code, Message};
 use freqdedup::server::server::{ServeSummary, Server, ServerConfig};
-use freqdedup::store::engine::DedupConfig;
+use freqdedup::store::engine::{DedupConfig, DedupEngine};
 use freqdedup::store::persist::{FsyncPolicy, PersistConfig};
-use freqdedup::store::sharded::ShardedDedupEngine;
 use freqdedup::trace::par::ParConfig;
 use freqdedup::trace::{Backup, BackupSeries};
 
@@ -320,7 +319,7 @@ fn mixed_payload_modes_are_refused() {
 
 /// N concurrent clients through the service produce a store + tap whose
 /// attack inference is identical to the same backups ingested directly
-/// into a `ShardedDedupEngine` — for both TiePolicy variants.
+/// into a four-shard `DedupEngine` — for both TiePolicy variants.
 #[test]
 fn concurrent_clients_equal_direct_ingest() {
     let (plain, cipher) = encrypted_series(5);
@@ -329,7 +328,7 @@ fn concurrent_clients_equal_direct_ingest() {
     let params = LocalityParams::new(2, 5, 50_000);
 
     // Offline reference: direct in-process ingest + attack.
-    let mut direct = ShardedDedupEngine::new(small_engine(), 4).unwrap();
+    let mut direct = DedupEngine::open_sharded(small_engine(), 4).unwrap();
     for backup in &cipher {
         direct.ingest_backup(backup, ParConfig::sequential());
     }
@@ -410,9 +409,17 @@ fn concurrent_clients_equal_direct_ingest() {
 // Restart / resume
 // ---------------------------------------------------------------------------
 
+/// Over a one-shard store (flat layout, tap files beside it) and a
+/// four-shard one (`shard-NNN/` subdirectories).
 #[test]
 fn restart_recovers_and_clients_resume_to_verified_restore() {
-    let dir = test_dir("restart");
+    for shards in [1, 4] {
+        restart_and_resume(shards);
+    }
+}
+
+fn restart_and_resume(shards: usize) {
+    let dir = test_dir(&format!("restart-{shards}"));
     let store_dir = dir.join("store");
     let persist_engine = || DedupConfig {
         persist: Some(PersistConfig::new(&store_dir).fsync(FsyncPolicy::Never)),
@@ -428,6 +435,7 @@ fn restart_recovers_and_clients_resume_to_verified_restore() {
     // ---- First server life: two clients, two committed backups, plus a
     // client that disconnects mid-backup without committing.
     let (addr, handle) = start(ServerConfig {
+        shards,
         engine: persist_engine(),
         log_file: Some(dir.join("server1.log")),
         ..ServerConfig::default()
@@ -459,8 +467,9 @@ fn restart_recovers_and_clients_resume_to_verified_restore() {
     assert_eq!(summary1.commits, 2);
 
     // ---- Second server life on the same directory: graceful shutdown
-    // checkpointed, so recovery must be bit-identical (PR 4 invariant).
+    // checkpointed, so recovery must be bit-identical.
     let (addr, handle) = start(ServerConfig {
+        shards,
         engine: persist_engine(),
         log_file: Some(dir.join("server2.log")),
         ..ServerConfig::default()

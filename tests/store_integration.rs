@@ -7,22 +7,32 @@ use freqdedup::chunking::segment::SegmentParams;
 use freqdedup::core::defense::MinHashScrambleScheme;
 use freqdedup::datasets::fsl::{generate, FslConfig};
 use freqdedup::store::engine::{DedupConfig, DedupEngine};
+use freqdedup::trace::par::ParConfig;
 use freqdedup::trace::stats::DedupAccumulator;
 
 #[test]
 fn engine_agrees_with_analytic_dedup() {
     let series = generate(&FslConfig::scaled(2_000));
-    let mut engine = DedupEngine::new(DedupConfig::paper(64 * 1024 * 1024, 200_000)).unwrap();
     let mut model = DedupAccumulator::new();
     for backup in &series {
-        engine.ingest_backup(backup);
         model.add_backup(backup);
     }
-    engine.finish();
-    let stats = engine.stats();
-    assert_eq!(stats.unique_chunks as usize, model.unique_chunks());
-    assert_eq!(stats.unique_bytes, model.physical_bytes());
-    assert_eq!(stats.logical_bytes, model.logical_bytes());
+    for shards in [1, 4] {
+        let config = DedupConfig::paper(64 * 1024 * 1024, 200_000);
+        let mut engine = DedupEngine::open_sharded(config, shards).unwrap();
+        for backup in &series {
+            engine.ingest_backup(backup, ParConfig::sequential());
+        }
+        engine.finish();
+        let stats = engine.stats();
+        assert_eq!(
+            stats.unique_chunks as usize,
+            model.unique_chunks(),
+            "{shards}"
+        );
+        assert_eq!(stats.unique_bytes, model.physical_bytes(), "{shards}");
+        assert_eq!(stats.logical_bytes, model.logical_bytes(), "{shards}");
+    }
 }
 
 #[test]
@@ -36,18 +46,17 @@ fn loading_access_dominates_with_small_cache() {
         }
         acc.unique_chunks()
     };
-    let mut engine = DedupEngine::new(DedupConfig {
+    let mut engine = DedupEngine::open(DedupConfig {
         container_bytes: 4 * 1024 * 1024,
         cache_entries: unique / 10,
         entry_bytes: 32,
         bloom_expected: unique as u64,
         bloom_fp_rate: 0.01,
-        index_shards: 1,
         persist: None,
     })
     .unwrap();
     for backup in &series {
-        engine.ingest_backup(backup);
+        engine.ingest_backup(backup, ParConfig::sequential());
     }
     engine.finish();
     let m = engine.metadata_access();
@@ -69,18 +78,17 @@ fn large_cache_reduces_loading_access() {
         acc.unique_chunks()
     };
     let run = |cache_entries: usize| {
-        let mut engine = DedupEngine::new(DedupConfig {
+        let mut engine = DedupEngine::open(DedupConfig {
             container_bytes: 4 * 1024 * 1024,
             cache_entries,
             entry_bytes: 32,
             bloom_expected: unique as u64,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
         for backup in &series {
-            engine.ingest_backup(backup);
+            engine.ingest_backup(backup, ParConfig::sequential());
         }
         engine.finish();
         engine.metadata_access().loading_bytes
@@ -109,18 +117,17 @@ fn combined_scheme_metadata_overhead_is_bounded() {
         acc.unique_chunks()
     };
     let ingest = |s: &freqdedup::trace::BackupSeries| {
-        let mut engine = DedupEngine::new(DedupConfig {
+        let mut engine = DedupEngine::open(DedupConfig {
             container_bytes: 4 * 1024 * 1024,
             cache_entries: unique / 4,
             entry_bytes: 32,
             bloom_expected: 4 * unique as u64,
             bloom_fp_rate: 0.01,
-            index_shards: 1,
             persist: None,
         })
         .unwrap();
         for backup in s {
-            engine.ingest_backup(backup);
+            engine.ingest_backup(backup, ParConfig::sequential());
         }
         engine.finish();
         engine.metadata_access().total_bytes()

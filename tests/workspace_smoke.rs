@@ -41,7 +41,7 @@ fn umbrella_reexports_resolve() {
     assert!(FslConfig::scaled(100).validate().is_ok());
 
     // store
-    let engine = DedupEngine::new(DedupConfig::paper(4 * 1024 * 1024, 1_000)).unwrap();
+    let engine = DedupEngine::open(DedupConfig::paper(4 * 1024 * 1024, 1_000)).unwrap();
     assert_eq!(engine.stats().logical_chunks, 0);
 
     // server
