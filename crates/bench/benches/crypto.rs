@@ -1,8 +1,10 @@
 //! Microbenchmarks for the from-scratch crypto substrate: SHA-256, HMAC,
-//! AES-256-CTR throughput on chunk-sized buffers.
+//! AES-256-CTR throughput on chunk-sized buffers, and the CRC-32 that
+//! checksums every wire frame and container log.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use freqdedup_crypto::{ctr::Aes256Ctr, hmac, sha256};
+use freqdedup_trace::io::crc32;
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -43,5 +45,23 @@ fn bench_aes_ctr(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sha256, bench_hmac, bench_aes_ctr);
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    for size in [4096usize, 8192, 65536] {
+        let data = vec![0x3cu8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, data| {
+            b.iter(|| crc32(data));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sha256,
+    bench_hmac,
+    bench_aes_ctr,
+    bench_crc32
+);
 criterion_main!(benches);

@@ -32,6 +32,9 @@
 //! * `chunking.` — rabin-cdc vs gear-hash fastcdc MB/s on raw bytes,
 //!   sequential and parallel, the fastcdc size distribution, and a
 //!   parallel-equals-sequential identity check;
+//! * `crypto.` — AES-256-CTR (8 KiB chunks, a key each) and CRC-32 MB/s,
+//!   the two kernels every restored or recovered payload byte passes
+//!   through;
 //! * `lifecycle.` — 8 backup generations in a durable store, every other
 //!   one deleted, GC compaction (reclaim MB/s), a REED-style rekey, and
 //!   the locality attack on the churned stream vs the append-only one;
@@ -73,9 +76,10 @@ dense-id/CSR path and the sharded parallel path, verifies identical
 inference output, and writes one row per measurement to BENCH_attack.json.
 Every run also times the loopback network service, the incremental attack
 engine, the resilient client stack under a seeded fault schedule, the
-chunking engines and the storage lifecycle under churn; with --persist DIR
-the durable store backend is also timed (disk ingest, close, cold-open
-recovery). Exits 1 when any correctness flag row is false.";
+chunking engines, the AES-CTR and CRC-32 kernels and the storage lifecycle
+under churn; with --persist DIR the durable store backend is also timed
+(disk ingest, close, cold-open recovery). Exits 1 when any correctness flag
+row is false.";
 
 /// Times the durable store backend rooted at `dir`: disk-backed ingest +
 /// close with the crash-safe fsync-always policy, then a cold-open
@@ -451,6 +455,55 @@ fn bench_faults(cipher: &Backup, unique: usize) -> Rows {
     rows
 }
 
+/// Repetitions [`best_of`] takes per timed configuration.
+const REPS: usize = 3;
+
+/// Runs `f` `reps` times and keeps the fastest run's time and output —
+/// the minimum is the least-noise estimate of a hot loop's cost on a
+/// shared machine, and what the bench guard's throughput comparison wants
+/// to see.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let (mut ms, mut out) = timed(&mut f);
+    for _ in 1..reps {
+        let (m, o) = timed(&mut f);
+        if m < ms {
+            (ms, out) = (m, o);
+        }
+    }
+    (ms, out)
+}
+
+/// Times the two kernels every restored payload byte passes through:
+/// AES-256-CTR over 8 KiB chunks under a fresh key each (as convergent
+/// MLE decrypts them, key schedule included) and CRC-32 (frame and
+/// container-log checksums), each the best of [`REPS`] passes over the
+/// same buffer.
+fn bench_crypto(quick: bool) -> Rows {
+    use freqdedup_crypto::ctr::Aes256Ctr;
+    use freqdedup_trace::io::crc32;
+
+    let mib: usize = if quick { 8 } else { 64 };
+    eprintln!("perf_report: AES-256-CTR and CRC-32 over {mib} MiB...");
+    let mut data = vec![0u8; mib << 20];
+    let bytes = data.len() as f64;
+    let mbps = |ms: f64| (bytes / 1e3 / ms.max(1e-9), 1);
+    let (aes_ms, ()) = best_of(REPS, || {
+        for (i, chunk) in data.chunks_mut(8192).enumerate() {
+            let mut key = [0u8; 32];
+            key[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            Aes256Ctr::new(&key, &[0u8; 16]).apply_keystream(chunk);
+        }
+    });
+    let (crc_ms, crc) = best_of(REPS, || crc32(std::hint::black_box(&data)));
+    std::hint::black_box(crc);
+
+    let mut rows = Rows::default();
+    rows.push(Info, "input_mib", "MiB", mib);
+    rows.push(Higher, "aes256_ctr_mbps", "MB/s", mbps(aes_ms));
+    rows.push(Higher, "crc32_mbps", "MB/s", mbps(crc_ms));
+    rows
+}
+
 /// Times the chunking engines on deterministic pseudo-random bytes
 /// (64 MiB full / 8 MiB quick): rabin-cdc vs gear-hash fastcdc at the
 /// paper's 8 KB-average configuration, sequential and parallel
@@ -484,22 +537,9 @@ fn bench_chunking(quick: bool, threads: usize) -> Rows {
 
     // Warm each engine once on a prefix so first-touch table builds and
     // page faults don't land in a timed run, then take the best of three
-    // repetitions per configuration — the minimum is the least-noise
-    // estimate of the hot loop's cost on a shared machine, and what the
-    // bench guard's throughput comparison wants to see.
+    // repetitions per configuration.
     drop(rabin.spans(&data[..1 << 20]));
     drop(fast.spans(&data[..1 << 20]));
-    fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-        let (mut ms, mut out) = timed(&mut f);
-        for _ in 1..reps {
-            let (m, o) = timed(&mut f);
-            if m < ms {
-                (ms, out) = (m, o);
-            }
-        }
-        (ms, out)
-    }
-    const REPS: usize = 3;
 
     let (rabin_seq_ms, rabin_spans) = best_of(REPS, || rabin.spans(&data));
     let (rabin_par_ms, rabin_par_spans) =
@@ -730,6 +770,7 @@ fn main() {
     rows.nest("streaming", bench_streaming(&cipher, &aux, threads));
     rows.nest("faults", bench_faults(&cipher, unique));
     rows.nest("chunking", bench_chunking(args.quick, threads));
+    rows.nest("crypto", bench_crypto(args.quick));
     rows.nest("lifecycle", bench_lifecycle(&cipher, &aux, unique, threads));
 
     // --- Attack layer. Warm the allocator and page cache once per path,

@@ -9,17 +9,21 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (streaming and one-shot).
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104, tested against RFC 4231).
-//! * [`aes`] — the AES-128 / AES-256 block cipher (FIPS-197).
-//! * [`ctr`] — CTR-mode stream encryption (NIST SP 800-38A).
+//! * [`aes`] — the AES-128 / AES-256 block cipher (FIPS-197), encryption
+//!   only (T-table rounds).
+//! * [`ctr`] — CTR-mode stream encryption (NIST SP 800-38A), four counter
+//!   blocks per step.
 //! * [`kdf`] — HKDF-SHA256-style key derivation (RFC 5869).
 //!
 //! # Security note
 //!
-//! The implementations favour clarity over side-channel hardening (table-based
-//! AES, non-constant-time comparisons unless [`constant_time_eq`] is used).
-//! They are intended for the trace-driven research workloads in this
-//! repository, matching how the original paper's artifact used OpenSSL purely
-//! as a deterministic building block.
+//! The implementations favour clarity and speed over side-channel hardening.
+//! AES indexes its T-tables and S-box with key-dependent bytes, so its
+//! timing is observable through the cache; comparisons are not constant
+//! time unless [`constant_time_eq`] is used. Hardening is out of scope:
+//! the primitives serve the trace-driven research workloads in this
+//! repository, matching how the original paper's artifact used OpenSSL
+//! purely as a deterministic building block.
 //!
 //! # Example
 //!

@@ -222,6 +222,7 @@ pub fn read_container(
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
     let file = File::open(&path)?;
+    let file_len = file.metadata()?.len();
     // The CrcSource error paths want a 'static file tag; keep the dynamic
     // name for the structural errors and rewrite the torn/magic ones below.
     let mut r = CrcSource::new(BufReader::new(file), "container log");
@@ -237,11 +238,16 @@ pub fn read_container(
         },
         other => other,
     };
-    read_container_inner(&mut r, id, &name, keys).map_err(rename)
+    read_container_inner(&mut r, file_len, id, &name, keys).map_err(rename)
 }
 
+/// Parses a container log of `file_len` bytes. The chunk count and record
+/// lengths come from the file, so allocations are bounded by the bytes
+/// left in it: an impossible count or length ends as a typed error, not
+/// an out-of-memory abort.
 fn read_container_inner<R: std::io::Read>(
     r: &mut CrcSource<R>,
+    file_len: u64,
     id: ContainerId,
     name: &str,
     keys: &HashMap<u64, [u8; 32]>,
@@ -283,8 +289,12 @@ fn read_container_inner<R: std::io::Read>(
     } else {
         None
     };
-    let mut fingerprints = Vec::with_capacity(count);
-    let mut sizes = Vec::with_capacity(count);
+    let bytes_left = |r: &CrcSource<R>| file_len.saturating_sub(r.consumed());
+    // Each record takes its length field plus the framing at least.
+    let records_left = bytes_left(r) / u64::from(4 + RECORD_HEADER);
+    let capacity = count.min(usize::try_from(records_left).unwrap_or(usize::MAX));
+    let mut fingerprints = Vec::with_capacity(capacity);
+    let mut sizes = Vec::with_capacity(capacity);
     let mut payload = has_payload.then(Vec::new);
     for _ in 0..count {
         let rec_len = r.read_u32("record length")?;
@@ -304,6 +314,12 @@ fn read_container_inner<R: std::io::Read>(
                     return Err(PersistError::Corrupt(format!(
                         "{name}: payload length {payload_len} disagrees with chunk size {size}"
                     )));
+                }
+                if payload_len as u64 > bytes_left(r) {
+                    return Err(PersistError::Torn {
+                        file: name.to_string(),
+                        detail: "file ends inside record payload".to_string(),
+                    });
                 }
                 let start = buf.len();
                 buf.resize(start + payload_len, 0);
@@ -563,6 +579,47 @@ mod tests {
         assert!(matches!(
             read_container(&dir, ContainerId(5), &no_keys()),
             Err(PersistError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes `c` and returns its log file's path and bytes.
+    fn written(dir: &Path, c: &Container) -> (PathBuf, Vec<u8>) {
+        write_container(dir, c, 0, None, FsyncPolicy::Never, &IoPolicyHandle::none()).unwrap();
+        let path = container_path(dir, c.id);
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    #[test]
+    fn impossible_chunk_count_is_a_typed_error() {
+        let dir = tmp_dir("huge-count");
+        let c = sealed_metadata_container();
+        let (path, mut bytes) = written(&dir, &c);
+        // Header bytes 12..16 hold the chunk count.
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_container(&dir, c.id, &no_keys()),
+            Err(PersistError::Torn { .. } | PersistError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn impossible_record_length_is_a_typed_error() {
+        let dir = tmp_dir("huge-record");
+        let c = sealed_payload_container();
+        let (path, mut bytes) = written(&dir, &c);
+        // The first record follows the 40-byte header: its length field,
+        // fingerprint, then chunk size. Keep length and size consistent so
+        // the parser goes on to read a ~4 GiB payload.
+        bytes[40..44].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[52..56].copy_from_slice(&(u32::MAX - RECORD_HEADER).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_container(&dir, c.id, &no_keys()),
+            Err(PersistError::Torn { .. } | PersistError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -270,6 +270,7 @@ pub(crate) struct CrcSource<R> {
     inner: R,
     crc: Crc32,
     file: &'static str,
+    consumed: u64,
 }
 
 impl<R: Read> CrcSource<R> {
@@ -278,7 +279,13 @@ impl<R: Read> CrcSource<R> {
             inner,
             crc: Crc32::new(),
             file,
+            consumed: 0,
         }
+    }
+
+    /// Bytes read through the CRC so far.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.consumed
     }
 
     /// Reads exactly `buf.len()` bytes; a short read is reported as a torn
@@ -295,6 +302,7 @@ impl<R: Read> CrcSource<R> {
             }
         })?;
         self.crc.update(buf);
+        self.consumed += buf.len() as u64;
         Ok(())
     }
 

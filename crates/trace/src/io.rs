@@ -77,13 +77,19 @@ impl From<std::io::Error> for TraceIoError {
 }
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
+///
+/// Computed slicing-by-8: eight input bytes per step through eight lookup
+/// tables, with a byte-at-a-time tail.
 #[derive(Clone, Debug)]
 pub struct Crc32 {
     state: u32,
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; entry `i` of
+/// `CRC_TABLES[k]` is the CRC state after byte `i` followed by `k` zero
+/// bytes, so eight tables advance the state over eight bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -96,13 +102,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 impl Default for Crc32 {
     fn default() -> Self {
@@ -119,10 +135,25 @@ impl Crc32 {
 
     /// Absorbs bytes.
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            let idx = ((self.state ^ u32::from(b)) & 0xff) as usize;
-            self.state = CRC_TABLE[idx] ^ (self.state >> 8);
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Returns the checksum.
@@ -330,6 +361,61 @@ mod tests {
         // Classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// CRC-32 one bit at a time, straight from the polynomial: no tables.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xedb8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_at_every_length_and_offset() {
+        let buf = noise(64 + 8);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bitwise(data),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_update_split_at_every_offset_matches_bitwise() {
+        let data = noise(100);
+        let expected = crc32_bitwise(&data);
+        for split in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            assert_eq!(c.finalize(), expected, "split {split}");
+        }
     }
 
     #[test]
