@@ -96,11 +96,8 @@ fn run_ciphertext_only_with_stats_kind<SC: StatsView, SM: StatsView>(
 /// tap consumers (service example, integration tests, serve bench) sweep
 /// the pair through this helper.
 ///
-/// Each side's stream is interned and counted **once** and only the
-/// neighbour tables are built per policy
-/// ([`DenseStats::full_both_policies_par`]); the result is bit-identical
-/// to two independent [`run_ciphertext_only`] calls (pinned by
-/// `tests/streaming_equivalence.rs`).
+/// Each policy is one [`run_ciphertext_only`] call, so the pair is
+/// bit-identical to two independent runs by construction.
 #[must_use]
 pub fn run_ciphertext_only_both_policies(
     kind: AttackKind,
@@ -108,18 +105,11 @@ pub fn run_ciphertext_only_both_policies(
     plain_aux: &Backup,
     params: &locality::LocalityParams,
 ) -> [(TiePolicy, Inference); 2] {
-    let par = params.par_config();
-    let [sc_stream, sc_key] = DenseStats::full_both_policies_par(cipher, par);
-    let [sm_stream, sm_key] = DenseStats::full_both_policies_par(plain_aux, par);
-    [
-        (TiePolicy::StreamOrder, &sc_stream, &sm_stream),
-        (TiePolicy::KeyOrder, &sc_key, &sm_key),
-    ]
-    .map(|(policy, sc, sm)| {
+    [TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
         let per_policy = params.clone().tie_policy(policy);
         (
             policy,
-            run_ciphertext_only_with_stats_kind(kind, sc, sm, &per_policy),
+            run_ciphertext_only(kind, cipher, plain_aux, &per_policy),
         )
     })
 }
@@ -212,32 +202,5 @@ mod tests {
         assert_eq!(AttackKind::Basic.name(), "Basic Attack");
         assert_eq!(AttackKind::Locality.to_string(), "Locality-based Attack");
         assert_eq!(AttackKind::ALL.len(), 3);
-    }
-
-    #[test]
-    fn both_policies_match_single_policy_runs() {
-        use freqdedup_trace::ChunkRecord;
-        let backup = |fps: &[u64]| -> Backup {
-            Backup::from_chunks("t", fps.iter().map(|&f| ChunkRecord::new(f, 8)).collect())
-        };
-        let aux = backup(&[1, 2, 1, 2, 3, 4, 2, 3, 4]);
-        let cipher = backup(&[101, 102, 105, 102, 101, 102, 103, 104, 102, 103, 104, 104]);
-        let params = locality::LocalityParams::new(1, 1, 1000);
-        let both = run_ciphertext_only_both_policies(AttackKind::Locality, &cipher, &aux, &params);
-        assert_eq!(both[0].0, TiePolicy::StreamOrder);
-        assert_eq!(both[1].0, TiePolicy::KeyOrder);
-        for (policy, inference) in both {
-            let single = run_ciphertext_only(
-                AttackKind::Locality,
-                &cipher,
-                &aux,
-                &params.clone().tie_policy(policy),
-            );
-            let mut a: Vec<_> = inference.iter().collect();
-            let mut b: Vec<_> = single.iter().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "policy {policy:?}");
-        }
     }
 }

@@ -27,8 +27,9 @@
 //! This module is the paper-faithful, fingerprint-keyed layout. The attack
 //! hot path runs on the dense-id/CSR layer of [`crate::dense`], which
 //! produces bit-identical statistics; [`ChunkStats`] remains the
-//! compatibility surface for figure binaries and tests (and the baseline
-//! the `perf_report` benchmark measures against).
+//! reference the equivalence tests compare the dense layer against, and
+//! the baseline the `perf_report` benchmark measures (no figure binary or
+//! attack entry point counts with it).
 
 use std::collections::HashMap;
 

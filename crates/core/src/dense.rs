@@ -164,24 +164,53 @@ pub(crate) enum Side {
     Right,
 }
 
-/// Per-worker state of a sharded CSR build: the shard's id range, its
-/// bucketed adjacency events, and the aggregation output.
-struct CsrShard {
-    rows: Range<usize>,
-    adjacencies: Vec<(u64, u32)>,
-    offsets: Vec<u32>,
-    entries: Vec<DenseEntry>,
+/// One adjacency run: the packed `(chunk ≪ 32 | neighbour)` key with its
+/// occurrence count and first-seen (minimum) stream order. A raw event is
+/// a run of count 1.
+///
+/// Field order is sort order: the derived `Ord` compares `key`, then
+/// `order`, so sorting events groups equal adjacencies with each group
+/// led by its first-seen occurrence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct AdjEntry {
+    /// Packed `(row chunk ≪ 32 | neighbour)` sort key.
+    pub(crate) key: u64,
+    /// Minimum (first-seen) tie-break order across the occurrences.
+    pub(crate) order: u32,
+    /// Number of occurrences of this adjacency.
+    pub(crate) count: u32,
 }
 
-impl CsrShard {
-    fn new(rows: Range<usize>) -> Self {
-        CsrShard {
-            rows,
-            adjacencies: Vec::new(),
-            offsets: Vec::new(),
-            entries: Vec::new(),
+impl AdjEntry {
+    /// The row entry this run denotes (the neighbour id is the key's low
+    /// half).
+    #[inline]
+    pub(crate) fn to_dense(self) -> DenseEntry {
+        DenseEntry {
+            id: self.key as u32,
+            count: self.count,
+            order: self.order,
         }
     }
+}
+
+/// Sorts raw events and run-length-aggregates them, in place, into
+/// key-sorted runs with distinct keys (each run keeps its group's minimum
+/// — first-seen — order).
+///
+/// This is the single run kernel of `COUNT`: the batch CSR build runs it
+/// per row-id shard, and the streaming layer ([`crate::streaming`]) runs it
+/// per commit.
+pub(crate) fn aggregate_events(mut events: Vec<AdjEntry>) -> Vec<AdjEntry> {
+    events.sort_unstable();
+    events.dedup_by(|next, run| {
+        let same = next.key == run.key;
+        if same {
+            run.count += next.count;
+        }
+        same
+    });
+    events
 }
 
 impl CooccurrenceCsr {
@@ -194,74 +223,45 @@ impl CooccurrenceCsr {
         }
     }
 
-    /// Builds the table from raw adjacency events.
+    /// Builds one side's table from a tape of interned ids, with adjacency
+    /// events only inside each backup's range of `ids`.
     ///
-    /// Each event is `(key, position)` with `key = chunk << 32 | neighbour`
-    /// and `position` the tie-break order of that event. One unstable sort
-    /// groups equal adjacencies into runs (the position participates in the
-    /// sort key, so each run leads with its minimum — first-seen —
-    /// position); a linear scan then aggregates runs into rows.
-    fn build(num_ids: usize, mut adjacencies: Vec<(u64, u32)>) -> Self {
-        adjacencies.sort_unstable();
-        let (offsets, entries) = aggregate_sorted(0..num_ids, &adjacencies);
-        CooccurrenceCsr { offsets, entries }
-    }
-
-    /// Builds the table by sharding the adjacency events **by chunk-id
-    /// range** across up to `threads` workers.
-    ///
-    /// One sequential O(n) pass buckets every event by the id shard its
-    /// *row* chunk belongs to (total bucketing work is independent of the
-    /// thread count); the buckets are then sorted and
-    /// run-length-aggregated in parallel — the expensive part — and the
-    /// per-shard rows stitched together in shard order. Because the
-    /// adjacency sort key leads with the row chunk id, concatenating
-    /// per-range sorted runs reproduces exactly the globally sorted
-    /// adjacency array — so the stitched table is bit-identical to
-    /// [`Self::build`]'s at any thread count.
-    fn build_sharded(
+    /// One sequential O(n) pass buckets every event by the **row-id
+    /// shard** its row chunk belongs to (one shard per worker, so one
+    /// bucket when `threads` is 1); each bucket is run-length-aggregated by
+    /// [`aggregate_events`] in parallel, and the runs are concatenated in
+    /// shard order. Because the key leads with the row chunk id, the
+    /// concatenation is exactly the globally sorted run array — the table
+    /// is bit-identical at any thread count.
+    fn from_tape(
         num_ids: usize,
         ids: &[ChunkId],
+        backups: &[Range<usize>],
         side: Side,
         policy: TiePolicy,
         threads: usize,
     ) -> Self {
-        let ranges = par::shard_ranges(num_ids, threads.max(1));
-        if ranges.len() <= 1 {
-            // Degenerate stream: the bucketing pass would be the whole
-            // cost, so take the sequential build directly.
-            return Self::build(num_ids, adjacency_events(ids, side, policy));
-        }
-
-        // Bucket by owning id shard: `starts` is small (≤ threads entries),
-        // so the partition_point probe stays in L1.
-        let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        let mut work: Vec<CsrShard> = ranges.into_iter().map(CsrShard::new).collect();
-        for i in 1..ids.len() {
-            let (key, order) = adjacency_event(ids, i, side, policy);
-            let chunk = (key >> 32) as usize;
-            let shard = starts.partition_point(|&s| s <= chunk) - 1;
-            work[shard].adjacencies.push((key, order));
-        }
-
-        par::par_for_each_mut(threads, &mut work, |_, shard| {
-            shard.adjacencies.sort_unstable();
-            let (offsets, entries) = aggregate_sorted(shard.rows.clone(), &shard.adjacencies);
-            shard.offsets = offsets;
-            shard.entries = entries;
-        });
-
-        let total: usize = work.iter().map(|s| s.entries.len()).sum();
-        let mut offsets = vec![0u32; num_ids + 1];
-        let mut entries = Vec::with_capacity(total);
-        for shard in work {
-            let base = entries.len() as u32;
-            for (k, id) in shard.rows.enumerate() {
-                offsets[id + 1] = base + shard.offsets[k + 1];
+        // `starts` is small (≤ threads entries), so the partition_point
+        // probe stays in L1.
+        let starts: Vec<usize> = par::shard_ranges(num_ids, threads.max(1))
+            .iter()
+            .map(|r| r.start)
+            .collect();
+        let mut shards: Vec<Vec<AdjEntry>> = starts
+            .iter()
+            .map(|_| Vec::with_capacity(ids.len() / starts.len()))
+            .collect();
+        for backup in backups {
+            for i in backup.start + 1..backup.end {
+                let event = adjacency_event(ids, i, side, policy, 0);
+                let shard = starts.partition_point(|&s| s <= (event.key >> 32) as usize) - 1;
+                shards[shard].push(event);
             }
-            entries.extend(shard.entries);
         }
-        CooccurrenceCsr { offsets, entries }
+        par::par_for_each_mut(threads, &mut shards, |_, events| {
+            *events = aggregate_events(std::mem::take(events));
+        });
+        Self::from_aggregated(num_ids, &shards)
     }
 
     /// The aggregated neighbour row of chunk `id` (empty slice if the chunk
@@ -285,25 +285,20 @@ impl CooccurrenceCsr {
         self.entries.len()
     }
 
-    /// Builds the table from **already aggregated** entries sorted by their
-    /// packed `(chunk ≪ 32 | neighbour)` key — the materialization path of
-    /// the streaming layer ([`crate::streaming`]), whose segment merges
-    /// produce exactly this form. No sort, no run detection: one linear
-    /// pass lays the rows out.
-    pub(crate) fn from_aggregated(
-        num_ids: usize,
-        aggregated: impl Iterator<Item = (u64, u32, u32)>,
-    ) -> Self {
+    /// Lays out runs sorted by their packed `(chunk ≪ 32 | neighbour)` key
+    /// — concatenated in slice order — as rows: the one place CSR rows are
+    /// built, for the batch build ([`Self::from_tape`]) and for the
+    /// streaming layer's materialization alike. No sort, no run detection:
+    /// one linear pass.
+    pub(crate) fn from_aggregated(num_ids: usize, runs: &[Vec<AdjEntry>]) -> Self {
         let mut offsets = vec![0u32; num_ids + 1];
-        let mut entries = Vec::new();
-        for (key, count, order) in aggregated {
-            entries.push(DenseEntry {
-                id: key as u32,
-                count,
-                order,
-            });
-            offsets[(key >> 32) as usize + 1] = entries.len() as u32;
+        let mut entries = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        for run in runs.iter().flatten() {
+            entries.push(run.to_dense());
+            offsets[(run.key >> 32) as usize + 1] = entries.len() as u32;
         }
+        // Chunks without neighbours on this side leave zero gaps; forward-
+        // fill so every row is a valid (possibly empty) range.
         for k in 1..offsets.len() {
             if offsets[k] < offsets[k - 1] {
                 offsets[k] = offsets[k - 1];
@@ -313,92 +308,39 @@ impl CooccurrenceCsr {
     }
 }
 
-/// The tie-break order an adjacency event at stream position `i` carries.
-fn order_of(i: usize, policy: TiePolicy) -> u32 {
-    match policy {
-        TiePolicy::StreamOrder => i as u32,
-        TiePolicy::KeyOrder => 0,
-    }
-}
-
-/// The adjacency event for stream index `i ∈ 1..n` on `side`: the packed
-/// `(row chunk ≪ 32 | neighbour)` sort key plus its tie-break order.
+/// The adjacency event for stream index `i ∈ 1..n` on `side`: a run of
+/// count 1 keyed `(row chunk ≪ 32 | neighbour)` with its tie-break order.
 ///
 /// For [`Side::Left`] the row chunk is `ids[i]` (its left neighbour is
 /// `ids[i-1]`, observed at position `i`); for [`Side::Right`] the row
 /// chunk is `ids[i-1]` (its right neighbour is `ids[i]`, observed at
-/// position `i-1`). This is the **only** place event derivation lives —
-/// the sequential build, the sharded build's degenerate path, the sharded
-/// bucketing loop, and the streaming delta builder all call it (the latter
-/// through [`adjacency_event_at`]), so the paths cannot drift.
+/// position `i-1`). Under [`TiePolicy::StreamOrder`] the order is the
+/// **global** stream position `base + position`, so a stream that starts
+/// `base` chunks into a larger tape (one streaming commit) aggregates to
+/// exactly the orders a batch `COUNT` over the whole tape observes. This
+/// is the only place event derivation lives, so the batch and streaming
+/// paths cannot drift.
 #[inline]
-fn adjacency_event(ids: &[ChunkId], i: usize, side: Side, policy: TiePolicy) -> (u64, u32) {
-    adjacency_event_at(ids, i, side, policy, 0)
-}
-
-/// [`adjacency_event`] for a stream that starts at global position `base`
-/// within a larger tape: the tie-break order is the **global** stream
-/// position, so per-backup deltas aggregate to exactly the orders a batch
-/// `COUNT` over the concatenated tape observes.
-#[inline]
-pub(crate) fn adjacency_event_at(
+pub(crate) fn adjacency_event(
     ids: &[ChunkId],
     i: usize,
     side: Side,
     policy: TiePolicy,
     base: usize,
-) -> (u64, u32) {
+) -> AdjEntry {
     let (chunk, neighbour, pos) = match side {
         Side::Left => (ids[i], ids[i - 1], i),
         Side::Right => (ids[i - 1], ids[i], i - 1),
     };
-    (
-        (u64::from(chunk) << 32) | u64::from(neighbour),
-        order_of(base + pos, policy),
-    )
-}
-
-/// All adjacency events of a stream on one side, in stream order.
-fn adjacency_events(ids: &[ChunkId], side: Side, policy: TiePolicy) -> Vec<(u64, u32)> {
-    (1..ids.len())
-        .map(|i| adjacency_event(ids, i, side, policy))
-        .collect()
-}
-
-/// Run-length-aggregates a **sorted** adjacency slice whose row chunks all
-/// fall in `rows`, producing row offsets *relative to `rows.start`* (length
-/// `rows.len() + 1`) and the aggregated entries.
-///
-/// This is the single aggregation kernel shared by the sequential build
-/// (`rows = 0..num_ids`) and every parallel shard — the two paths cannot
-/// drift apart.
-fn aggregate_sorted(rows: Range<usize>, adjacencies: &[(u64, u32)]) -> (Vec<u32>, Vec<DenseEntry>) {
-    let mut offsets = vec![0u32; rows.len() + 1];
-    let mut entries = Vec::new();
-    let mut i = 0;
-    while i < adjacencies.len() {
-        let (key, first_pos) = adjacencies[i];
-        let mut j = i + 1;
-        while j < adjacencies.len() && adjacencies[j].0 == key {
-            j += 1;
-        }
-        entries.push(DenseEntry {
-            id: key as u32,
-            count: (j - i) as u32,
-            order: first_pos,
-        });
-        let chunk = (key >> 32) as usize - rows.start;
-        offsets[chunk + 1] = entries.len() as u32;
-        i = j;
+    let order = match policy {
+        TiePolicy::StreamOrder => (base + pos) as u32,
+        TiePolicy::KeyOrder => 0,
+    };
+    AdjEntry {
+        key: (u64::from(chunk) << 32) | u64::from(neighbour),
+        order,
+        count: 1,
     }
-    // Chunks without neighbours on this side leave zero gaps; forward-
-    // fill so every row is a valid (possibly empty) range.
-    for k in 1..offsets.len() {
-        if offsets[k] < offsets[k - 1] {
-            offsets[k] = offsets[k - 1];
-        }
-    }
-    (offsets, entries)
 }
 
 /// The output of `COUNT` in dense form: the id-indexed analogue of
@@ -454,87 +396,26 @@ impl DenseStats {
     /// policy.
     #[must_use]
     pub fn full_with_policy(backup: &Backup, policy: TiePolicy) -> Self {
-        let (interner, ids) = intern_stream(backup);
-        let unique = interner.len();
-        let freq = count_ids(&ids, unique);
-        let left = CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Left, policy));
-        let right = CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Right, policy));
-        DenseStats {
-            interner,
-            freq,
-            left,
-            right,
-        }
+        Self::full_with_policy_par(backup, policy, ParConfig::sequential())
     }
 
-    /// The full `COUNT` of Algorithm 2 with the frequency pass and both
-    /// CSR neighbour-table builds sharded across worker threads.
-    ///
-    /// Interning stays sequential — id assignment is first-seen order, an
-    /// inherently serial definition — but it is one hash pass; the sorts
-    /// dominate at scale. Frequencies shard by contiguous stream range and
-    /// merge by elementwise sum; the neighbour tables shard **by chunk-id
-    /// range** (see [`CooccurrenceCsr`] internals), so every merged
-    /// structure is bit-identical to [`Self::full_with_policy`]'s output
-    /// at any thread count. `par` resolving to 1 takes the sequential path
-    /// unchanged.
+    /// [`Self::full_with_policy`] with the frequency pass and both CSR
+    /// neighbour-table builds sharded across worker threads — a one-backup
+    /// tape of [`Self::full_series_with_policy_par`].
     #[must_use]
     pub fn full_with_policy_par(backup: &Backup, policy: TiePolicy, par: ParConfig) -> Self {
-        let threads = par.resolve();
-        if threads <= 1 {
-            return Self::full_with_policy(backup, policy);
-        }
-        let (interner, ids) = intern_stream(backup);
-        let unique = interner.len();
-        let freq = count_ids_par(&ids, unique, threads);
-        let left = CooccurrenceCsr::build_sharded(unique, &ids, Side::Left, policy, threads);
-        let right = CooccurrenceCsr::build_sharded(unique, &ids, Side::Right, policy, threads);
-        DenseStats {
-            interner,
-            freq,
-            left,
-            right,
-        }
-    }
-
-    /// The full `COUNT` of Algorithm 2 with both frequency and CSR tables
-    /// built for **both** [`TiePolicy`] variants from **one** interning and
-    /// counting pass (returned in `[StreamOrder, KeyOrder]` order).
-    ///
-    /// The policy only affects the tie-break orders carried by adjacency
-    /// events, never the interner or the frequency array, so those are
-    /// shared and cloned — each returned stats value is bit-identical to
-    /// [`Self::full_with_policy_par`] under the same policy.
-    #[must_use]
-    pub fn full_both_policies_par(backup: &Backup, par: ParConfig) -> [Self; 2] {
-        let threads = par.resolve();
-        let (interner, ids) = intern_stream(backup);
-        let unique = interner.len();
-        let freq = count_ids_par(&ids, unique, threads);
-        [TiePolicy::StreamOrder, TiePolicy::KeyOrder].map(|policy| {
-            let (left, right) = if threads <= 1 {
-                (
-                    CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Left, policy)),
-                    CooccurrenceCsr::build(unique, adjacency_events(&ids, Side::Right, policy)),
-                )
-            } else {
-                (
-                    CooccurrenceCsr::build_sharded(unique, &ids, Side::Left, policy, threads),
-                    CooccurrenceCsr::build_sharded(unique, &ids, Side::Right, policy, threads),
-                )
-            };
-            DenseStats {
-                interner: interner.clone(),
-                freq: freq.clone(),
-                left,
-                right,
-            }
-        })
+        Self::full_series_with_policy_par(std::slice::from_ref(backup), policy, par)
     }
 
     /// Batch `COUNT` over a **tape** of backups — the full-recompute oracle
     /// the streaming layer ([`crate::streaming`]) is property-tested
-    /// against.
+    /// against. Sequential [`Self::full_series_with_policy_par`].
+    #[must_use]
+    pub fn full_series_with_policy(tape: &[Backup], policy: TiePolicy) -> Self {
+        Self::full_series_with_policy_par(tape, policy, ParConfig::sequential())
+    }
+
+    /// The one batch `COUNT` body every entry above calls.
     ///
     /// Tape semantics: ids are interned first-seen across the whole tape in
     /// tape order; frequencies sum over all backups; adjacency events exist
@@ -542,37 +423,37 @@ impl DenseStats {
     /// left neighbour of the next backup's first chunk); and under
     /// [`TiePolicy::StreamOrder`] the tie-break order of an event is its
     /// **global** stream position (the backup's cumulative chunk offset
-    /// plus the local position). For a single-backup tape this is exactly
-    /// [`Self::full_with_policy`].
+    /// plus the local position).
+    ///
+    /// Interning stays sequential — id assignment is first-seen order, an
+    /// inherently serial definition — but it is one hash pass; the sorts
+    /// dominate at scale. Frequencies shard by contiguous stream range and
+    /// merge by elementwise sum; the neighbour tables shard **by chunk-id
+    /// range** (see [`CooccurrenceCsr`] internals), so every structure is
+    /// bit-identical at any thread count.
     #[must_use]
-    pub fn full_series_with_policy(tape: &[Backup], policy: TiePolicy) -> Self {
+    pub fn full_series_with_policy_par(tape: &[Backup], policy: TiePolicy, par: ParConfig) -> Self {
+        let threads = par.resolve();
         let mut interner = ChunkInterner::new();
-        let mut left_events = Vec::new();
-        let mut right_events = Vec::new();
-        let mut freq_ids: Vec<ChunkId> = Vec::new();
-        let mut base = 0usize;
+        let mut ids = Vec::with_capacity(tape.iter().map(Backup::len).sum());
+        let mut backups = Vec::with_capacity(tape.len());
         for backup in tape {
-            let ids: Vec<ChunkId> = backup
-                .chunks
-                .iter()
-                .map(|rec| interner.intern(rec.fp, rec.size))
-                .collect();
-            for i in 1..ids.len() {
-                left_events.push(adjacency_event_at(&ids, i, Side::Left, policy, base));
-                right_events.push(adjacency_event_at(&ids, i, Side::Right, policy, base));
-            }
-            base += ids.len();
-            freq_ids.extend(ids);
+            let start = ids.len();
+            ids.extend(
+                backup
+                    .chunks
+                    .iter()
+                    .map(|rec| interner.intern(rec.fp, rec.size)),
+            );
+            backups.push(start..ids.len());
         }
         let unique = interner.len();
-        let freq = count_ids(&freq_ids, unique);
-        let left = CooccurrenceCsr::build(unique, left_events);
-        let right = CooccurrenceCsr::build(unique, right_events);
+        let csr = |side| CooccurrenceCsr::from_tape(unique, &ids, &backups, side, policy, threads);
         DenseStats {
+            freq: count_ids_par(&ids, unique, threads),
+            left: csr(Side::Left),
+            right: csr(Side::Right),
             interner,
-            freq,
-            left,
-            right,
         }
     }
 
@@ -605,7 +486,7 @@ impl DenseStats {
     }
 
     /// Exports to the fingerprint-keyed [`ChunkStats`] representation (the
-    /// compatibility surface for figure binaries and older call sites).
+    /// reference layout the equivalence tests compare against).
     #[must_use]
     pub fn to_chunk_stats(&self) -> ChunkStats {
         let unique = self.unique_chunks();
@@ -928,33 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn both_policies_share_one_build_and_match_individual_builds() {
-        let fps: Vec<u64> = (0..400u64).map(|i| (i * 7) % 61).collect();
-        let b = backup(&fps);
-        for t in [1usize, 4] {
-            let [stream, key] = DenseStats::full_both_policies_par(&b, ParConfig::with_threads(t));
-            assert_eq!(
-                stream,
-                DenseStats::full_with_policy_par(
-                    &b,
-                    TiePolicy::StreamOrder,
-                    ParConfig::with_threads(t)
-                ),
-                "threads {t}"
-            );
-            assert_eq!(
-                key,
-                DenseStats::full_with_policy_par(
-                    &b,
-                    TiePolicy::KeyOrder,
-                    ParConfig::with_threads(t)
-                ),
-                "threads {t}"
-            );
-        }
-    }
-
-    #[test]
     fn series_of_one_backup_equals_single_batch() {
         let b = backup(&[1, 2, 5, 2, 1, 2, 3, 4, 2, 3, 4, 4]);
         for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
@@ -995,15 +849,26 @@ mod tests {
         let b = backup(&fps);
         let s = DenseStats::full(&b);
         for csr in [&s.left, &s.right] {
-            let rebuilt = CooccurrenceCsr::from_aggregated(
-                csr.num_rows(),
-                (0..csr.num_rows() as u32).flat_map(|row| {
-                    csr.row(row)
-                        .iter()
-                        .map(move |e| ((u64::from(row) << 32) | u64::from(e.id), e.count, e.order))
-                }),
+            let runs: Vec<AdjEntry> = (0..csr.num_rows() as u32)
+                .flat_map(|row| {
+                    csr.row(row).iter().map(move |e| AdjEntry {
+                        key: (u64::from(row) << 32) | u64::from(e.id),
+                        count: e.count,
+                        order: e.order,
+                    })
+                })
+                .collect();
+            assert_eq!(
+                &CooccurrenceCsr::from_aggregated(csr.num_rows(), std::slice::from_ref(&runs)),
+                csr
             );
-            assert_eq!(&rebuilt, csr);
+            // Split anywhere, the pieces concatenate to the same rows.
+            let (head, tail) = runs.split_at(runs.len() / 2);
+            let pieces = [head.to_vec(), Vec::new(), tail.to_vec()];
+            assert_eq!(
+                &CooccurrenceCsr::from_aggregated(csr.num_rows(), &pieces),
+                csr
+            );
         }
     }
 

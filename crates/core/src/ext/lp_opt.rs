@@ -13,8 +13,8 @@
 
 use freqdedup_trace::Backup;
 
-use crate::counting::ChunkStats;
-use crate::freq_analysis::rank;
+use crate::dense::DenseStats;
+use crate::freq_analysis::top_k_dense;
 use crate::metrics::Inference;
 
 /// Solves the minimum-cost assignment problem for an `n × m` cost matrix
@@ -116,28 +116,31 @@ pub fn lp_optimization_attack(
     p: f64,
 ) -> Inference {
     assert!(p > 0.0, "p must be positive");
-    let fc = ChunkStats::frequencies_only(cipher);
-    let fm = ChunkStats::frequencies_only(plain_aux);
-    let mut rc = rank(&fc.freq);
-    let mut rm = rank(&fm.freq);
-    let n = top_n.min(rc.len()).min(rm.len());
-    rc.truncate(n);
-    rm.truncate(n);
+    let fc = DenseStats::frequencies_only(cipher);
+    let fm = DenseStats::frequencies_only(plain_aux);
+    let n = top_n.min(fc.unique_chunks()).min(fm.unique_chunks());
     if n == 0 {
         return Inference::new();
     }
+    let rc = top_k_dense(&fc.global_rows(), n, fc.interner.fingerprints());
+    let rm = top_k_dense(&fm.global_rows(), n, fm.interner.fingerprints());
     let cost: Vec<Vec<f64>> = rc
         .iter()
-        .map(|&(_, fc_i)| {
+        .map(|c| {
             rm.iter()
-                .map(|&(_, fm_j)| ((fc_i.count as f64) - (fm_j.count as f64)).abs().powf(p))
+                .map(|m| (f64::from(c.count) - f64::from(m.count)).abs().powf(p))
                 .collect()
         })
         .collect();
     let assignment = min_cost_assignment(&cost);
     rc.iter()
         .zip(assignment)
-        .map(|(&(c, _), j)| (c, rm[j].0))
+        .map(|(c, j)| {
+            (
+                fc.interner.fingerprint(c.id),
+                fm.interner.fingerprint(rm[j].id),
+            )
+        })
         .collect()
 }
 
@@ -233,6 +236,43 @@ mod tests {
         let observed = enc.encrypt_backup(&plain);
         let lp = lp_optimization_attack(&observed.backup, &plain, 7, 2.0);
         assert_eq!(lp.len(), 7);
+    }
+
+    #[test]
+    fn matches_reference_ranking_on_ties() {
+        // Tie-heavy: many chunks share each count, so the assignment input
+        // order — the canonical ranking — decides the matching. The dense
+        // ranking must reproduce the fingerprint-keyed reference exactly.
+        use crate::counting::ChunkStats;
+        use crate::freq_analysis::rank;
+        let cipher = backup(&(0..120u64).map(|i| (i * 7) % 31).collect::<Vec<_>>());
+        let aux = backup(&(0..90u64).map(|i| (i * 11) % 29 + 5).collect::<Vec<_>>());
+        for (top_n, p) in [(10, 1.0), (25, 2.0), (40, 0.5)] {
+            let rc = rank(&ChunkStats::frequencies_only(&cipher).freq);
+            let rm = rank(&ChunkStats::frequencies_only(&aux).freq);
+            let n = top_n.min(rc.len()).min(rm.len());
+            let cost: Vec<Vec<f64>> = rc[..n]
+                .iter()
+                .map(|(_, c)| {
+                    rm[..n]
+                        .iter()
+                        .map(|(_, m)| ((c.count as f64) - (m.count as f64)).abs().powf(p))
+                        .collect()
+                })
+                .collect();
+            let reference: Inference = rc[..n]
+                .iter()
+                .zip(min_cost_assignment(&cost))
+                .map(|(&(c, _), j)| (c, rm[j].0))
+                .collect();
+            let mut got: Vec<_> = lp_optimization_attack(&cipher, &aux, top_n, p)
+                .iter()
+                .collect();
+            let mut want: Vec<_> = reference.iter().collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "top_n {top_n} p {p}");
+        }
     }
 
     #[test]

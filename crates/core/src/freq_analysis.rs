@@ -20,7 +20,7 @@
 //!
 //! * the **fingerprint-keyed** functions below operate on [`FreqTable`]s
 //!   (the paper-faithful LevelDB-style layout; retained as the reference
-//!   implementation and compatibility surface);
+//!   implementation the equivalence tests compare against);
 //! * the **dense** functions ([`rank_dense`], [`top_k_dense`],
 //!   [`freq_analysis_dense`], [`freq_analysis_sized_dense`]) operate on
 //!   id-indexed [`DenseEntry`] slices from [`crate::dense`] with heap-based

@@ -95,4 +95,4 @@ pub use defense::{DefenseError, DefenseScheme, KeyContext};
 pub use dense::{ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats, StatsView};
 pub use metrics::{Inference, InferenceReport};
 pub use par::ParConfig;
-pub use streaming::{CommitReceipt, IncrementalStats, StatsDelta};
+pub use streaming::{CommitReceipt, IncrementalStats};

@@ -10,12 +10,12 @@
 //!
 //! What runs on them in this crate:
 //!
-//! * [`crate::dense::DenseStats::full_with_policy_par`] — dense `COUNT`:
-//!   per-shard frequency counting over contiguous stream ranges
-//!   (elementwise-summed in shard order) and the left/right CSR
-//!   neighbour-table build sharded **by chunk-id range** so per-shard
-//!   sorted runs concatenate into exactly the globally sorted adjacency
-//!   array.
+//! * [`crate::dense::DenseStats::full_series_with_policy_par`] — dense
+//!   `COUNT` (every batch entry calls it): per-shard frequency counting
+//!   over contiguous stream ranges (elementwise-summed in shard order) and
+//!   the left/right CSR neighbour-table build sharded **by chunk-id
+//!   range** so per-shard sorted runs concatenate into exactly the
+//!   globally sorted run array.
 //! * [`crate::attacks::locality::LocalityParams::threads`] — the knob
 //!   that selects parallel `COUNT` inside the locality/advanced attacks
 //!   (the crawl itself is inherently sequential FIFO expansion and stays

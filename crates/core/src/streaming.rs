@@ -4,30 +4,31 @@
 //! The batch layer ([`crate::dense`]) rebuilds the interner, the global
 //! frequency array and both CSR neighbour tables from the full tape on
 //! every run — O(total history) per inference, which cannot track a live
-//! service. This module makes the same state *foldable*:
+//! service. This module makes the same state *foldable*, on the batch
+//! layer's own event→run kernel:
 //!
-//! * [`StatsDelta`] — everything one committed backup contributes, in
-//!   id-space: sparse frequency increments plus per-side aggregated
-//!   adjacency runs. Deltas form a commutative monoid under
-//!   [`StatsDelta::merged`] (counts add, first-seen orders take the
-//!   minimum), which is exactly why folding them in any grouping yields
-//!   the batch answer.
+//! * [`IncrementalStats::commit`] interns one backup, adds its ids into
+//!   the frequency array, and aggregates its within-backup adjacency
+//!   events — derived and run-length-aggregated by exactly the functions
+//!   the batch build uses, with tie-break orders offset by the logical
+//!   chunks committed before it — into one sorted run array per side.
 //! * [`SegmentedCsr`] — a neighbour table as a stack of sorted, aggregated
-//!   segments (the logarithmic method): each commit *appends* its delta as
+//!   segments (the logarithmic method): each commit *appends* its runs as
 //!   a new segment, and a merge-stack invariant (a segment is merged into
 //!   its neighbour whenever it has grown at least as large) bounds the
 //!   stack depth to O(log n) while keeping total merge work O(log n)
 //!   amortized per entry. Row reads k-way-merge the per-segment runs;
-//!   because the merge algebra is associative and commutative, the merged
-//!   row is **independent of segmentation** — reading mid-stream, after a
-//!   forced [`SegmentedCsr::compact`], or after a restart all observe the
-//!   same bits.
+//!   because the merge (counts add, first-seen orders take the minimum)
+//!   is associative and commutative, the merged row is **independent of
+//!   segmentation** — reading mid-stream, after a forced
+//!   [`SegmentedCsr::compact`], or after a restart all observe the same
+//!   bits.
 //! * [`IncrementalStats`] — the running attack state: interner, frequency
 //!   array, both segmented tables, and the logical-position cursor that
 //!   keeps [`TiePolicy::StreamOrder`] tie-breaks globally consistent.
-//!   [`IncrementalStats::commit`] folds one backup in O(delta · log
-//!   history); [`IncrementalStats::to_dense`] materializes the equivalent
-//!   [`DenseStats`] for table-level equivalence checks.
+//!   [`IncrementalStats::to_dense`] materializes the equivalent
+//!   [`DenseStats`] (through the same CSR layout step as the batch build)
+//!   for table-level equivalence checks.
 //!
 //! The state serializes to a CRC-checked binary blob
 //! ([`IncrementalStats::write_to`] / [`IncrementalStats::read_from`]) so a
@@ -44,37 +45,12 @@ use freqdedup_trace::{Backup, Fingerprint};
 
 use crate::counting::TiePolicy;
 use crate::dense::{
-    adjacency_event_at, ChunkId, ChunkInterner, CooccurrenceCsr, DenseEntry, DenseStats, Side,
-    StatsView,
+    adjacency_event, aggregate_events, AdjEntry, ChunkId, ChunkInterner, CooccurrenceCsr,
+    DenseEntry, DenseStats, Side, StatsView,
 };
 
-/// One aggregated adjacency run: the packed `(chunk ≪ 32 | neighbour)`
-/// key with its occurrence count and first-seen (minimum) stream order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdjEntry {
-    /// Packed `(row chunk ≪ 32 | neighbour)` sort key.
-    pub key: u64,
-    /// Number of occurrences of this adjacency.
-    pub count: u32,
-    /// Minimum (first-seen) tie-break order across the occurrences.
-    pub order: u32,
-}
-
-impl AdjEntry {
-    /// The row entry this run denotes (the neighbour id is the key's low
-    /// half).
-    #[inline]
-    fn to_dense(self) -> DenseEntry {
-        DenseEntry {
-            id: self.key as u32,
-            count: self.count,
-            order: self.order,
-        }
-    }
-}
-
 /// Merges two key-sorted aggregated runs: counts add, orders take the
-/// minimum. This is the **entire** delta algebra — it is commutative and
+/// minimum. This is the **entire** merge algebra — it is commutative and
 /// associative, so any fold order (per-commit appends, segment merges,
 /// compaction, restart) produces the same aggregated rows.
 fn merge_adj(a: &[AdjEntry], b: &[AdjEntry]) -> Vec<AdjEntry> {
@@ -104,164 +80,6 @@ fn merge_adj(a: &[AdjEntry], b: &[AdjEntry]) -> Vec<AdjEntry> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Sorts raw adjacency events and run-length-aggregates them into
-/// [`AdjEntry`] runs (the position participates in the sort key, so each
-/// run leads with its minimum — first-seen — order).
-fn aggregate_events(mut events: Vec<(u64, u32)>) -> Vec<AdjEntry> {
-    events.sort_unstable();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < events.len() {
-        let (key, order) = events[i];
-        let mut j = i + 1;
-        while j < events.len() && events[j].0 == key {
-            j += 1;
-        }
-        out.push(AdjEntry {
-            key,
-            count: (j - i) as u32,
-            order,
-        });
-        i = j;
-    }
-    out
-}
-
-/// Everything one committed backup adds to the running attack state, in
-/// dense-id space.
-///
-/// A delta is built against a (mutably borrowed) interner — interning is
-/// the only inherently sequential part of `COUNT` — and is pure data
-/// afterwards. Two deltas built against the same interner merge with
-/// [`Self::merged`]; the merge is commutative and associative, so the
-/// order in which deltas are *folded* never matters (the order in which
-/// they were *built* fixes id assignment and stream offsets, exactly as
-/// in the batch tape semantics).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsDelta {
-    policy: TiePolicy,
-    chunks: u64,
-    /// Sparse frequency increments, sorted by id.
-    freq: Vec<(ChunkId, u32)>,
-    left: Vec<AdjEntry>,
-    right: Vec<AdjEntry>,
-}
-
-impl StatsDelta {
-    /// Builds the delta of one backup: interns its stream into `interner`
-    /// (assigning fresh ids to first-seen chunks), counts its frequencies,
-    /// and aggregates its within-backup adjacency events with tie-break
-    /// orders offset by `position_offset` — the number of logical chunks
-    /// committed before this backup (so [`TiePolicy::StreamOrder`] orders
-    /// are **global** tape positions, matching
-    /// [`DenseStats::full_series_with_policy`]).
-    ///
-    /// Cost is O(delta · log delta): two sorts over the backup's own
-    /// events, independent of total history.
-    #[must_use]
-    pub fn build(
-        interner: &mut ChunkInterner,
-        backup: &Backup,
-        policy: TiePolicy,
-        position_offset: u64,
-    ) -> Self {
-        let ids: Vec<ChunkId> = backup
-            .chunks
-            .iter()
-            .map(|rec| interner.intern(rec.fp, rec.size))
-            .collect();
-        let base = position_offset as usize;
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let mut freq = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let id = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j] == id {
-                j += 1;
-            }
-            freq.push((id, (j - i) as u32));
-            i = j;
-        }
-        let left = aggregate_events(
-            (1..ids.len())
-                .map(|i| adjacency_event_at(&ids, i, Side::Left, policy, base))
-                .collect(),
-        );
-        let right = aggregate_events(
-            (1..ids.len())
-                .map(|i| adjacency_event_at(&ids, i, Side::Right, policy, base))
-                .collect(),
-        );
-        StatsDelta {
-            policy,
-            chunks: ids.len() as u64,
-            freq,
-            left,
-            right,
-        }
-    }
-
-    /// Merges two deltas built against the same interner: frequencies and
-    /// adjacency counts add, first-seen orders take the minimum, logical
-    /// chunk counts add. Commutative and associative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deltas were built under different [`TiePolicy`]s.
-    #[must_use]
-    pub fn merged(&self, other: &StatsDelta) -> StatsDelta {
-        assert_eq!(self.policy, other.policy, "tie policies differ");
-        let mut freq = Vec::with_capacity(self.freq.len() + other.freq.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.freq.len() && j < other.freq.len() {
-            match self.freq[i].0.cmp(&other.freq[j].0) {
-                std::cmp::Ordering::Less => {
-                    freq.push(self.freq[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    freq.push(other.freq[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    freq.push((self.freq[i].0, self.freq[i].1 + other.freq[j].1));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        freq.extend_from_slice(&self.freq[i..]);
-        freq.extend_from_slice(&other.freq[j..]);
-        StatsDelta {
-            policy: self.policy,
-            chunks: self.chunks + other.chunks,
-            freq,
-            left: merge_adj(&self.left, &other.left),
-            right: merge_adj(&self.right, &other.right),
-        }
-    }
-
-    /// The tie-break policy the delta was built under.
-    #[must_use]
-    pub fn policy(&self) -> TiePolicy {
-        self.policy
-    }
-
-    /// Logical (pre-dedup) chunks the delta covers.
-    #[must_use]
-    pub fn chunks(&self) -> u64 {
-        self.chunks
-    }
-
-    /// Whether the delta carries no observations at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.chunks == 0
-    }
 }
 
 /// A neighbour table as a merge-stack of sorted aggregated segments (the
@@ -411,8 +229,8 @@ impl SegmentedCsr {
     }
 }
 
-/// What one [`IncrementalStats::commit`] (or [`IncrementalStats::apply`])
-/// did — the receipt the tap's latency log and the streaming bench record.
+/// What one [`IncrementalStats::commit`] did — the receipt the tap's
+/// latency log and the streaming bench record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommitReceipt {
     /// Logical chunks folded in.
@@ -462,67 +280,40 @@ impl IncrementalStats {
         }
     }
 
-    /// Creates an empty state under `policy` that adopts a pre-populated
-    /// `interner` — for callers that build [`StatsDelta`]s directly via
-    /// [`StatsDelta::build`] against a shared interner (with explicit
-    /// position offsets) and fold them in afterwards, e.g. batched or
-    /// re-sharded ingestion. Applied deltas' dense ids must come from
-    /// `interner`.
-    #[must_use]
-    pub fn with_interner(policy: TiePolicy, interner: ChunkInterner) -> Self {
-        IncrementalStats {
-            interner,
-            ..IncrementalStats::new(policy)
-        }
-    }
-
-    /// Builds (but does not fold) the delta of `backup` against this
-    /// state: the backup's chunks are interned into this state's interner
-    /// and its tie-break orders are offset by the current logical-position
-    /// cursor. The returned delta must be [`Self::apply`]-ed (alone or
-    /// [`StatsDelta::merged`] with deltas built after it) before the next
-    /// [`Self::build_delta`] / [`Self::commit`], or position offsets
-    /// drift.
-    pub fn build_delta(&mut self, backup: &Backup) -> StatsDelta {
-        StatsDelta::build(&mut self.interner, backup, self.policy, self.chunks)
-    }
-
-    /// Folds a delta built by [`Self::build_delta`] into the running
-    /// state in O(delta · log history) amortized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta was built under a different [`TiePolicy`].
-    pub fn apply(&mut self, delta: StatsDelta) -> CommitReceipt {
-        assert_eq!(delta.policy, self.policy, "tie policies differ");
-        let old_unique = self.freq.len();
-        let need = self
-            .interner
-            .len()
-            .max(delta.freq.last().map_or(0, |&(id, _)| id as usize + 1))
-            .max(old_unique);
-        self.freq.resize(need, 0);
-        for &(id, n) in &delta.freq {
-            self.freq[id as usize] += n;
-        }
-        let merged = self.left.append(delta.left) + self.right.append(delta.right);
-        self.chunks += delta.chunks;
-        self.commits += 1;
-        CommitReceipt {
-            chunks: delta.chunks,
-            new_unique: self.freq.len() - old_unique,
-            merged_entries: merged,
-        }
-    }
-
-    /// Folds one committed backup: [`Self::build_delta`] followed by
-    /// [`Self::apply`].
+    /// Folds one committed backup in O(delta · log history) amortized:
+    /// its chunks are interned, counted into `F`, and its within-backup
+    /// adjacency runs — tie-break orders offset by the logical chunks
+    /// committed so far, so [`TiePolicy::StreamOrder`] orders are
+    /// **global** tape positions — are appended as one new segment per
+    /// side.
     pub fn commit(&mut self, backup: &Backup) -> CommitReceipt {
         let before = self.interner.len();
-        let delta = self.build_delta(backup);
-        let mut receipt = self.apply(delta);
-        receipt.new_unique = self.interner.len() - before;
-        receipt
+        let ids: Vec<ChunkId> = backup
+            .chunks
+            .iter()
+            .map(|rec| self.interner.intern(rec.fp, rec.size))
+            .collect();
+        self.freq
+            .resize(self.interner.len().max(self.freq.len()), 0);
+        for &id in &ids {
+            self.freq[id as usize] += 1;
+        }
+        let (policy, base) = (self.policy, self.chunks as usize);
+        let runs = |side| {
+            aggregate_events(
+                (1..ids.len())
+                    .map(|i| adjacency_event(&ids, i, side, policy, base))
+                    .collect(),
+            )
+        };
+        let merged = self.left.append(runs(Side::Left)) + self.right.append(runs(Side::Right));
+        self.chunks += ids.len() as u64;
+        self.commits += 1;
+        CommitReceipt {
+            chunks: ids.len() as u64,
+            new_unique: self.interner.len() - before,
+            merged_entries: merged,
+        }
     }
 
     /// Forces a full compaction of both neighbour tables. Aggregated rows
@@ -585,25 +376,11 @@ impl IncrementalStats {
         let unique = self.interner.len();
         let mut freq = self.freq.clone();
         freq.resize(unique, 0);
-        let left = CooccurrenceCsr::from_aggregated(
-            unique,
-            self.left
-                .merged_entries()
-                .into_iter()
-                .map(|e| (e.key, e.count, e.order)),
-        );
-        let right = CooccurrenceCsr::from_aggregated(
-            unique,
-            self.right
-                .merged_entries()
-                .into_iter()
-                .map(|e| (e.key, e.count, e.order)),
-        );
         DenseStats {
             interner: self.interner.clone(),
             freq,
-            left,
-            right,
+            left: CooccurrenceCsr::from_aggregated(unique, &[self.left.merged_entries()]),
+            right: CooccurrenceCsr::from_aggregated(unique, &[self.right.merged_entries()]),
         }
     }
 
@@ -694,22 +471,25 @@ impl IncrementalStats {
             // was not produced by `write_to`.
             return Err(TraceIoError::LengthOverflow(unique as u64));
         }
-        let freq_len = r.read_u32()? as usize;
-        let mut freq = Vec::with_capacity(freq_len);
+        // Length fields are untrusted until the trailing CRC checks out:
+        // vectors grow as elements are actually read, never to a claimed
+        // length up front (a flipped high byte would ask for gigabytes).
+        let freq_len = r.read_u32()?;
+        let mut freq = Vec::new();
         for _ in 0..freq_len {
             freq.push(r.read_u32()?);
         }
         let mut sides = Vec::with_capacity(2);
         for _ in 0..2 {
-            let num_segments = r.read_u32()? as usize;
+            let num_segments = r.read_u32()?;
             let merges = r.read_u64()?;
-            let mut segments = Vec::with_capacity(num_segments);
+            let mut segments = Vec::new();
             for _ in 0..num_segments {
                 let len = r.read_u64()?;
                 if len > 1 << 40 {
                     return Err(TraceIoError::LengthOverflow(len));
                 }
-                let mut segment = Vec::with_capacity(len as usize);
+                let mut segment = Vec::new();
                 for _ in 0..len {
                     let key = r.read_u64()?;
                     let count = r.read_u32()?;
@@ -857,6 +637,7 @@ impl<R: Read> BlobReader<R> {
 mod tests {
     use super::*;
     use freqdedup_trace::ChunkRecord;
+    use proptest::prelude::*;
 
     fn backup(label: &str, fps: &[u64]) -> Backup {
         Backup::from_chunks(
@@ -938,46 +719,35 @@ mod tests {
         assert!(inc.left().merges() > 0);
     }
 
-    #[test]
-    fn delta_merge_is_commutative_and_associative() {
-        let tape = tape();
-        let mut interner = ChunkInterner::new();
-        let mut offset = 0u64;
-        let deltas: Vec<StatsDelta> = tape
-            .iter()
-            .map(|b| {
-                let d = StatsDelta::build(&mut interner, b, TiePolicy::StreamOrder, offset);
-                offset += b.len() as u64;
-                d
-            })
-            .collect();
-        let (a, b, c) = (&deltas[0], &deltas[1], &deltas[5]);
-        assert_eq!(a.merged(b), b.merged(a));
-        assert_eq!(a.merged(b).merged(c), a.merged(&b.merged(c)));
+    /// Random key-sorted runs with distinct keys over a small key domain,
+    /// so two arrays share most keys.
+    fn runs_strategy() -> impl Strategy<Value = Vec<AdjEntry>> {
+        prop::collection::vec((0u64..40, 1u32..5, 0u32..50), 0..25).prop_map(|raw| {
+            let mut runs: Vec<AdjEntry> = raw
+                .into_iter()
+                .map(|(key, count, order)| AdjEntry { key, count, order })
+                .collect();
+            runs.sort_unstable_by_key(|e| e.key);
+            runs.dedup_by_key(|e| e.key);
+            runs
+        })
     }
 
-    #[test]
-    fn merged_deltas_fold_to_the_same_state() {
-        // Applying d0+d1 as one merged delta equals applying them one at
-        // a time (the segment layout differs; the materialized state must
-        // not).
-        let tape = tape();
-        let mut one_by_one = IncrementalStats::new(TiePolicy::StreamOrder);
-        for b in &tape[..2] {
-            one_by_one.commit(b);
+    proptest! {
+        /// The merge kernel is commutative and associative — the property
+        /// that makes a row independent of how the commits were segmented.
+        #[test]
+        fn merge_adj_is_commutative_and_associative(
+            a in runs_strategy(),
+            b in runs_strategy(),
+            c in runs_strategy(),
+        ) {
+            prop_assert_eq!(merge_adj(&a, &b), merge_adj(&b, &a));
+            prop_assert_eq!(
+                merge_adj(&merge_adj(&a, &b), &c),
+                merge_adj(&a, &merge_adj(&b, &c))
+            );
         }
-        // Build both deltas against one state's interner (explicit
-        // offsets), then fold them as a single merged delta.
-        let mut merged = IncrementalStats::new(TiePolicy::StreamOrder);
-        let d0 = StatsDelta::build(&mut merged.interner, &tape[0], TiePolicy::StreamOrder, 0);
-        let d1 = StatsDelta::build(
-            &mut merged.interner,
-            &tape[1],
-            TiePolicy::StreamOrder,
-            d0.chunks(),
-        );
-        merged.apply(d0.merged(&d1));
-        assert_eq!(one_by_one.to_dense(), merged.to_dense());
     }
 
     #[test]
@@ -1025,8 +795,38 @@ mod tests {
         ));
     }
 
+    /// Byte offset of the first segment-count field (left side) of a
+    /// serialized state: header, interner records, then `freq`.
+    fn left_segments_offset(inc: &IncrementalStats) -> usize {
+        27 + 12 * inc.interner().len() + 4 + 4 * inc.freq().len()
+    }
+
     #[test]
-    fn empty_duplicate_and_singleton_deltas() {
+    fn huge_segment_count_is_an_error_not_an_allocation() {
+        let mut inc = IncrementalStats::new(TiePolicy::StreamOrder);
+        inc.commit(&backup("x", &[1, 2, 1, 3]));
+        let mut bytes = Vec::new();
+        inc.write_to(&mut bytes).unwrap();
+        let at = left_segments_offset(&inc);
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(IncrementalStats::read_from(bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn huge_segment_length_is_an_error_not_an_allocation() {
+        let mut inc = IncrementalStats::new(TiePolicy::StreamOrder);
+        inc.commit(&backup("x", &[1, 2, 1, 3]));
+        assert_eq!(inc.left().num_segments(), 1);
+        let mut bytes = Vec::new();
+        inc.write_to(&mut bytes).unwrap();
+        // The segment length follows the segment count and merge counter.
+        let at = left_segments_offset(&inc) + 4 + 8;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(IncrementalStats::read_from(bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn empty_duplicate_and_singleton_commits() {
         for (fps, label) in [
             (&[][..], "empty"),
             (&[7, 7, 7][..], "duplicate-only"),

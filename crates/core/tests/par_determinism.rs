@@ -11,7 +11,8 @@
 //! tests pin that promise on randomized tie-heavy backups for
 //! `threads ∈ {1, 2, 8}` (1 = the sequential fast path itself, 2 and 8 =
 //! fewer/more shards than typical row counts per shard, exercising both
-//! near-empty and multi-run shard aggregations).
+//! near-empty and multi-run shard aggregations), and the batch tape
+//! builder on multi-backup tapes for `threads ∈ {1, 2, 3, 8, 64}`.
 
 use freqdedup_core::attacks::advanced::AdvancedAttack;
 use freqdedup_core::attacks::basic::BasicAttack;
@@ -25,6 +26,10 @@ use freqdedup_trace::{Backup, ChunkRecord, Fingerprint};
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Thread counts for the tape builder: 3 leaves uneven shards, 64 exceeds
+/// the unique-chunk count of most generated tapes (shards get clamped).
+const TAPE_THREADS: [usize; 5] = [1, 2, 3, 8, 64];
 
 /// Builds a backup whose chunk sizes vary with the fingerprint, so the
 /// size-classified (Algorithm 3) branch sees several block classes.
@@ -44,6 +49,21 @@ fn fp_stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(1u64..60, 0..300)
 }
 
+/// A multi-backup tape with an empty backup at both ends and a
+/// single-chunk backup in the middle, so backup boundaries with no
+/// adjacency across them sit next to every kind of neighbour.
+fn tape(backups: &[Vec<u64>]) -> Vec<Backup> {
+    let mut tape = vec![backup(&[])];
+    for (i, fps) in backups.iter().enumerate() {
+        if i == backups.len() / 2 {
+            tape.push(backup(&[7]));
+        }
+        tape.push(backup(fps));
+    }
+    tape.push(backup(&[]));
+    tape
+}
+
 fn sorted_pairs(inf: &Inference) -> Vec<(Fingerprint, Fingerprint)> {
     let mut v: Vec<_> = inf.iter().collect();
     v.sort_unstable();
@@ -61,6 +81,25 @@ proptest! {
             let seq = DenseStats::full_with_policy(&b, policy);
             for t in THREADS {
                 let par = DenseStats::full_with_policy_par(&b, policy, ParConfig::with_threads(t));
+                prop_assert_eq!(&par, &seq, "threads {} policy {:?}", t, policy);
+            }
+        }
+    }
+
+    /// The batch tape builder — the one body behind every dense `COUNT`
+    /// entry — is bit-identical to its sequential run at every thread
+    /// count on multi-backup tapes, under both tie policies.
+    #[test]
+    fn series_count_bit_identical(
+        backups in prop::collection::vec(prop::collection::vec(1u64..60, 0..80), 0..6),
+    ) {
+        let tape = tape(&backups);
+        for policy in [TiePolicy::StreamOrder, TiePolicy::KeyOrder] {
+            let seq = DenseStats::full_series_with_policy(&tape, policy);
+            for t in TAPE_THREADS {
+                let par = DenseStats::full_series_with_policy_par(
+                    &tape, policy, ParConfig::with_threads(t),
+                );
                 prop_assert_eq!(&par, &seq, "threads {} policy {:?}", t, policy);
             }
         }
@@ -189,6 +228,28 @@ proptest! {
             st.sort_unstable();
             prop_assert_eq!(pt, st, "threads {}", t);
         }
+    }
+}
+
+/// No adjacency crosses a backup boundary at any thread count: `2 | 3`
+/// and `3 | 3` touch only across boundaries (one of them through an
+/// empty backup), so neither is an edge; `3 4` inside the last backup is.
+#[test]
+fn tape_builder_has_no_edge_across_backups() {
+    let tape = [backup(&[1, 2]), backup(&[]), backup(&[3]), backup(&[3, 4])];
+    for t in TAPE_THREADS {
+        let s = DenseStats::full_series_with_policy_par(
+            &tape,
+            TiePolicy::StreamOrder,
+            ParConfig::with_threads(t),
+        );
+        let id = |f: u64| s.interner.get(Fingerprint(f)).unwrap();
+        let right = |f: u64| -> Vec<u32> { s.right.row(id(f)).iter().map(|e| e.id).collect() };
+        assert_eq!(right(2), Vec::<u32>::new(), "threads {t}");
+        assert_eq!(right(3), vec![id(4)], "threads {t}");
+        assert_eq!(s.freq[id(3) as usize], 2, "threads {t}");
+        // The 3→4 edge sits at global tape position 3.
+        assert_eq!(s.right.row(id(3))[0].order, 3, "threads {t}");
     }
 }
 

@@ -719,7 +719,20 @@ fn corrupt_stream_state_degrades_to_catalog_replay() {
         .streaming()
         .clone();
 
-    for offset in [0usize, pristine.len() / 2, pristine.len() - 1] {
+    // The high byte of the first state's `freq_len` field (after the
+    // 27-byte header and 12 bytes per interned chunk): a flip there claims
+    // billions of entries, which must cost a replay, not an allocation.
+    let unique = good
+        .stats(freqdedup::core::counting::TiePolicy::StreamOrder)
+        .interner()
+        .len();
+    let freq_len_high = 27 + 12 * unique + 3;
+    for offset in [
+        0usize,
+        freq_len_high,
+        pristine.len() / 2,
+        pristine.len() - 1,
+    ] {
         let mut bad = pristine.clone();
         bad[offset] ^= 0xff;
         std::fs::write(&stream_path, &bad).unwrap();

@@ -2,32 +2,32 @@
 //!
 //! The streaming layer (`freqdedup::core::streaming`) promises that a
 //! running [`IncrementalStats`] — frequencies, both segmented CSR
-//! neighbour tables, and the interner, folded one [`StatsDelta`] per
-//! committed backup — is **bit-identical** to a from-scratch batch
-//! recompute of the same tape at every commit point: identical COUNT
-//! structures (`to_dense` equals [`DenseStats::full_series_with_policy`]),
-//! identical top-k frequency ranks, and identical inference sets from the
-//! attacks crawling the segmented tables directly. These property tests
-//! pin that promise on randomized backup sequences for
-//! `threads ∈ {1, 2, 8}`, both [`TiePolicy`] variants, both attack modes
-//! (ciphertext-only and known-plaintext), and arbitrary interleaved
-//! compaction points (compaction is a pure representation change and must
-//! be invisible in every observable).
+//! neighbour tables, and the interner, folded one committed backup at a
+//! time by [`IncrementalStats::commit`] — is **bit-identical** to a
+//! from-scratch batch recompute of the same tape at every commit point:
+//! identical COUNT structures (`to_dense` equals
+//! [`DenseStats::full_series_with_policy`]), identical top-k frequency
+//! ranks, and identical inference sets from the attacks crawling the
+//! segmented tables directly. These property tests pin that promise on
+//! randomized backup sequences for `threads ∈ {1, 2, 8}`, both
+//! [`TiePolicy`] variants, both attack modes (ciphertext-only and
+//! known-plaintext), and arbitrary interleaved compaction points
+//! (compaction is a pure representation change and must be invisible in
+//! every observable). The merge kernel's commutativity and associativity,
+//! which make rows independent of segmentation, are pinned by a unit test
+//! next to it in `streaming.rs`.
 //!
-//! Alongside the streaming properties, the suite pins the delta algebra
-//! itself — [`StatsDelta::merged`] is a commutative, associative monoid
-//! action on the state — and the shared-build guarantee of
-//! [`attacks::run_ciphertext_only_both_policies`]: one interning pass
-//! serving both tie policies must equal two independent single-policy
-//! runs (a regression test — the pre-streaming implementation interned
-//! once *per policy*).
+//! Alongside the streaming properties, the suite pins the contract of
+//! [`attacks::run_ciphertext_only_both_policies`] that the tap consumers
+//! rely on: `[StreamOrder, KeyOrder]` in that order, each equal to an
+//! independent single-policy run.
 
 use freqdedup::core::attacks::locality::{LocalityAttack, LocalityParams};
 use freqdedup::core::attacks::{self, AttackKind};
 use freqdedup::core::counting::TiePolicy;
 use freqdedup::core::dense::StatsView;
 use freqdedup::core::freq_analysis::top_k_dense;
-use freqdedup::core::{ChunkInterner, DenseStats, IncrementalStats, Inference, StatsDelta};
+use freqdedup::core::{DenseStats, IncrementalStats, Inference};
 use freqdedup::trace::{Backup, ChunkRecord, Fingerprint};
 use proptest::prelude::*;
 
@@ -146,12 +146,9 @@ proptest! {
         }
     }
 
-    /// `run_ciphertext_only_both_policies` — one shared interning/count
-    /// build serving both tie policies — equals two independent
-    /// single-policy runs for every attack kind. Regression test: the
-    /// pre-streaming implementation rebuilt the interner once per policy,
-    /// so a drift between the shared and per-policy builds would surface
-    /// here.
+    /// `run_ciphertext_only_both_policies` returns both tie policies in
+    /// `[StreamOrder, KeyOrder]` order, each equal to an independent
+    /// single-policy run, for every attack kind.
     #[test]
     fn both_policies_shared_build_matches_single_policy_runs(
         cipher_fps in prop::collection::vec(1u64..60, 1..200),
@@ -172,58 +169,6 @@ proptest! {
                     sorted_pairs(&inference),
                     sorted_pairs(&single),
                     "{} policy {:?}", kind, policy
-                );
-            }
-        }
-    }
-
-    /// Delta merge is commutative and associative, and a merged delta
-    /// applied once equals the constituent deltas applied one at a time —
-    /// the algebra that makes batching and re-sharding of commits safe.
-    #[test]
-    fn delta_merge_is_a_commutative_monoid_action(fps in tape_strategy()) {
-        for policy in POLICIES {
-            let tape = build_tape(&fps);
-            // One shared interner, exactly as a sequential committer would
-            // intern the tape; offsets track the logical stream position.
-            let mut interner = ChunkInterner::new();
-            let mut offset = 0u64;
-            let deltas: Vec<StatsDelta> = tape
-                .iter()
-                .map(|b| {
-                    let d = StatsDelta::build(&mut interner, b, policy, offset);
-                    offset += b.len() as u64;
-                    d
-                })
-                .collect();
-            if deltas.len() >= 2 {
-                let (a, b) = (&deltas[0], &deltas[1]);
-                prop_assert_eq!(a.merged(b), b.merged(a), "commutativity {:?}", policy);
-            }
-            if deltas.len() >= 3 {
-                let (a, b, c) = (&deltas[0], &deltas[1], &deltas[2]);
-                prop_assert_eq!(
-                    a.merged(b).merged(c),
-                    a.merged(&b.merged(c)),
-                    "associativity {:?}", policy
-                );
-            }
-            // Folding all deltas into one and applying it to an empty
-            // state equals committing them one by one.
-            if let Some(first) = deltas.first() {
-                let folded = deltas[1..]
-                    .iter()
-                    .fold(first.clone(), |acc, d| acc.merged(d));
-                let mut merged_state = IncrementalStats::with_interner(policy, interner.clone());
-                merged_state.apply(folded);
-                let mut stepped = IncrementalStats::new(policy);
-                for b in &tape {
-                    stepped.commit(b);
-                }
-                prop_assert_eq!(
-                    merged_state.to_dense(),
-                    stepped.to_dense(),
-                    "fold-vs-step {:?}", policy
                 );
             }
         }
@@ -272,17 +217,13 @@ proptest! {
     }
 }
 
-/// Empty backup: the delta is empty and committing it changes nothing but
-/// the commit counter.
+/// Empty backup: committing it changes nothing but the commit counter.
 #[test]
 fn empty_backup_delta_is_identity() {
     for policy in POLICIES {
         let mut inc = IncrementalStats::new(policy);
         inc.commit(&backup("seed", &[1, 2, 1, 3]));
         let before = inc.to_dense();
-        let mut probe = inc.clone();
-        let delta = probe.build_delta(&backup("empty", &[]));
-        assert!(delta.is_empty(), "empty backup must build an empty delta");
         let receipt = inc.commit(&backup("empty", &[]));
         assert_eq!(receipt.chunks, 0);
         assert_eq!(receipt.new_unique, 0);
@@ -324,25 +265,6 @@ fn single_chunk_backup_matches_batch() {
         );
         assert_eq!(inc.freq(), &[1]);
         assert_eq!(inc.left().num_entries() + inc.right().num_entries(), 0);
-    }
-}
-
-/// A delta merged into an empty state reproduces a fresh batch build of
-/// the same backup.
-#[test]
-fn delta_merged_into_empty_state_equals_batch() {
-    for policy in POLICIES {
-        let tape = vec![backup("a", &[1, 2, 1, 2, 3]), backup("b", &[3, 1, 3, 4])];
-        let mut interner = ChunkInterner::new();
-        let d0 = StatsDelta::build(&mut interner, &tape[0], policy, 0);
-        let d1 = StatsDelta::build(&mut interner, &tape[1], policy, tape[0].len() as u64);
-        let mut inc = IncrementalStats::with_interner(policy, interner);
-        inc.apply(d0.merged(&d1));
-        assert_eq!(
-            inc.to_dense(),
-            DenseStats::full_series_with_policy(&tape, policy)
-        );
-        assert_eq!(inc.logical_chunks(), 9);
     }
 }
 
